@@ -6,7 +6,6 @@ transitionless Hamiltonian built by finite-differencing gauge-fixed
 eigenvectors on a sampled time grid.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,13 @@ class CdDriveSample:
     correction: complex
 
 
-def cd_field(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> CdDriveSample:
+def cd_field(t, profile: DriveProfile, delta_r: float, gamma: float) -> CdDriveSample:
     """Counterdiabatically corrected drive field at time ``t``.
 
     For a CD_SIN_SQ profile returns F(t) - i*Fdot(t)/(delta_r - i*gamma/2)
     with F(t) = f0*sin^2(omega_env*t) and the derivative taken analytically.
-    For the bare profile kinds the correction is zero by definition.
+    For the bare profile kinds the correction is zero by definition. ``t``
+    may be an array.
 
     Raises
     ------
@@ -67,20 +67,18 @@ def cd_field(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> C
     """
     f_bare = envelope(t, profile)
     if profile.kind is not DriveKind.CD_SIN_SQ:
-        return CdDriveSample(t=t, f_cd=complex(f_bare), f_bare=f_bare, correction=0j)
+        return CdDriveSample(t=t, f_cd=f_bare + 0j, f_bare=f_bare, correction=0j)
     den = _cd_denominator(delta_r, gamma)
-    f_dot = profile.f0 * profile.omega_env * math.sin(2.0 * profile.omega_env * t)
-    correction = -1j * f_dot / den
+    f_dot = profile.f0 * profile.omega_env * np.sin(2.0 * profile.omega_env * t)
+    correction = f_dot * (-1j / den)
     return CdDriveSample(t=t, f_cd=f_bare + correction, f_bare=f_bare, correction=correction)
 
 
-def drive_field(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> complex:
-    """The drive amplitude entering the master equation for any profile kind."""
-    if profile.kind is DriveKind.OFF:
-        return 0j
+def drive_field(t, profile: DriveProfile, delta_r: float, gamma: float):
+    """The drive amplitude entering the master equation for any profile kind; ``t`` may be an array."""
     if profile.kind is DriveKind.CD_SIN_SQ:
         return cd_field(t, profile, delta_r, gamma).f_cd
-    return complex(envelope(t, profile))
+    return envelope(t, profile) + 0j
 
 
 def steady_displacement(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> complex:

@@ -8,6 +8,13 @@ damping/pumping on the charger; the three quadrature moments <a^2>, <b^2>,
 counterdiabatic field the drive term in d<a^dag a>/dt carries the conjugate
 field, -2 Im[F* <a>]; the brute-force density-matrix oracle pins this
 convention down.
+
+The equations are real-affine: on x = [Re y, Im y, 1], dx/dt = A(t) x with
+the 17x17 generator A = A_g + Re F A_re + Im F A_im (sources in the last
+column). So a classical RK4 step is the affine map P = I + h/6 (A1 + 2 K2 +
+2 K3 + K4), K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3),
+with A1, A2, A4 taken at t, t + h/2, t + h. :func:`integrate` builds the maps
+of a block of steps with array operations, then applies them step by step.
 """
 
 import math
@@ -24,8 +31,35 @@ __all__ = ["MomentState", "Trajectory", "integrate", "max_step", "moment_rhs"]
 #: absolute tolerance for physicality checks on stored samples
 PHYSICALITY_TOL = 1e-9
 
+#: RK4 steps whose maps are built together. It bounds the (block, 17, 17) work
+#: arrays: at 64 each passes 128 KiB and map building slows by about half.
+BLOCK_STEPS = 32
+
 # layout of the internal state vector
 _A, _B, _NA, _NB, _ABD, _A2, _B2, _AB = range(8)
+_DIM = 17  # real state [Re y, Im y, 1]
+
+
+def _check_physical(m: np.ndarray, tol: float, times: np.ndarray | None = None) -> None:
+    """Raise :class:`InvariantViolation` at the first non-finite or unphysical row of ``m``.
+
+    The message names the row's sample index and time when ``times`` is given.
+    """
+    na, nb = m[:, _NA].real, m[:, _NB].real
+    with np.errstate(invalid="ignore"):  # rows with inf or nan fail the first check
+        checks = {
+            "non-finite moment": ~np.isfinite(m).all(axis=1),
+            "negative occupation": (na < -tol) | (nb < -tol),
+            "centered charger occupation negative": na < np.abs(m[:, _A]) ** 2 - tol,
+            "centered battery occupation negative": nb < np.abs(m[:, _B]) ** 2 - tol,
+            "cross moment violates Cauchy-Schwarz": np.abs(m[:, _ABD]) ** 2 > na * (nb + 1.0) + tol,
+        }
+    bad = np.flatnonzero(np.any(list(checks.values()), axis=0))
+    if bad.size:
+        i = int(bad[0])
+        reason = next(msg for msg, mask in checks.items() if mask[i])
+        where = "" if times is None else f"sample {i} at t={times[i]:.6g}: "
+        raise InvariantViolation(f"{where}{reason}: na={na[i]}, nb={nb[i]}")
 
 
 @dataclass(frozen=True)
@@ -66,32 +100,45 @@ class MomentState:
 
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         """Raise :class:`InvariantViolation` if physicality fails beyond ``tol``."""
-        if self.na < -tol or self.nb < -tol:
-            raise InvariantViolation(f"negative occupation: na={self.na}, nb={self.nb}")
-        if self.na < abs(self.a_mean) ** 2 - tol:
-            raise InvariantViolation("centered charger occupation negative")
-        if self.nb < abs(self.b_mean) ** 2 - tol:
-            raise InvariantViolation("centered battery occupation negative")
-        if abs(self.ab_dag) ** 2 > self.na * (self.nb + 1.0) + tol:
-            raise InvariantViolation("cross moment violates Cauchy-Schwarz")
+        _check_physical(self.as_array()[None, :], tol)
 
 
-def _rhs(t: float, y: np.ndarray, g: float, params: ModelParams, profile: DriveProfile) -> np.ndarray:
+def _rhs(y: np.ndarray, s, g: float, f: complex, params: ModelParams) -> np.ndarray:
+    """Moment derivatives of the rows ``y[..., :8]``, with the sources scaled by ``s``.
+
+    ``s = 1`` gives the equations of motion. Every term is real-linear in
+    (Re y, Im y, s) and, separately, in f.
+    """
     gamma = params.gamma
-    f = drive_field(t, profile, params.delta_r, params.gamma)
-    a, b = y[_A], y[_B]
-    na, nb = y[_NA].real, y[_NB].real
-    abd, a2, b2, ab = y[_ABD], y[_A2], y[_B2], y[_AB]
-    dy = np.empty(8, dtype=complex)
-    dy[_A] = -1j * (g * b + f) - 0.5 * gamma * a
-    dy[_B] = -1j * g * a
-    dy[_NA] = -2.0 * g * abd.imag - 2.0 * (f.conjugate() * a).imag - gamma * na + gamma * params.nbar
-    dy[_NB] = 2.0 * g * abd.imag
-    dy[_ABD] = 1j * (g * (na - nb) - f * b.conjugate()) - 0.5 * gamma * abd
-    dy[_A2] = -2j * (g * ab + f * a) - gamma * a2
-    dy[_B2] = -2j * g * ab
-    dy[_AB] = -1j * (g * (a2 + b2) + f * b) - 0.5 * gamma * ab
+    a, b = y[..., _A], y[..., _B]
+    na, nb = y[..., _NA].real, y[..., _NB].real
+    abd, a2, b2, ab = y[..., _ABD], y[..., _A2], y[..., _B2], y[..., _AB]
+    dy = np.empty(y.shape, dtype=complex)
+    dy[..., _A] = -1j * (g * b + f * s) - 0.5 * gamma * a
+    dy[..., _B] = -1j * g * a
+    dy[..., _NA] = -2.0 * g * abd.imag - 2.0 * (f.conjugate() * a).imag - gamma * (na - params.nbar * s)
+    dy[..., _NB] = 2.0 * g * abd.imag
+    dy[..., _ABD] = 1j * (g * (na - nb) - f * b.conjugate()) - 0.5 * gamma * abd
+    dy[..., _A2] = -2j * (g * ab + f * a) - gamma * a2
+    dy[..., _B2] = -2j * g * ab
+    dy[..., _AB] = -1j * (g * (a2 + b2) + f * b) - 0.5 * gamma * ab
     return dy
+
+
+def _generator(g: float, params: ModelParams) -> np.ndarray:
+    """Flattened rows (A_g, A_re, A_im) of dx/dt = (A_g + Re f A_re + Im f A_im) x.
+
+    Column k of each 17x17 map is :func:`_rhs` at the k-th unit vector of x;
+    no entry mixes f and f-free terms, so the columns are exact.
+    """
+    unit = np.eye(_DIM)
+
+    def at(f: complex) -> np.ndarray:
+        dy = _rhs(unit[:, :8] + 1j * unit[:, 8:16], unit[:, 16], g, f, params)
+        return np.vstack([dy.real.T, dy.imag.T, np.zeros(_DIM)]).ravel()
+
+    a_g = at(0j)
+    return np.stack([a_g, at(1.0 + 0j) - a_g, at(1j) - a_g])
 
 
 def moment_rhs(
@@ -103,7 +150,8 @@ def moment_rhs(
     the (possibly counterdiabatically corrected) amplitude for ``profile``.
     """
     g = params.g * coupling_window(t, params.tau)
-    return MomentState.from_array(_rhs(t, state.as_array(), g, params, profile))
+    f = complex(drive_field(t, profile, params.delta_r, params.gamma))
+    return MomentState.from_array(_rhs(state.as_array(), 1.0, g, f, params))
 
 
 def integration_legs(t_end: float, tau: float) -> list[tuple[float, float, float]]:
@@ -160,6 +208,7 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta integration of the moment equations.
 
+    Each leg takes ceil(span/step) equal steps, applied as affine maps.
     Starts from the vacuum (all moments zero) unless ``initial`` is supplied,
     which is meant for validation runs that inject a prepared state. Every
     ``sample_stride``-th step is retained, plus the final one.
@@ -169,8 +218,9 @@ def integrate(
     StepTooLarge
         If ``step`` exceeds 0.05/max(omega_env, g, gamma, omega0).
     InvariantViolation
-        If a retained sample breaks physicality beyond tolerance, which
-        signals integrator misconfiguration rather than physics.
+        If a retained sample is non-finite or breaks physicality beyond
+        tolerance (named with its index and time), which signals integrator
+        misconfiguration rather than physics.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -182,9 +232,11 @@ def integrate(
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
 
-    y = (initial or MomentState.vacuum()).as_array()
+    y0 = (initial or MomentState.vacuum()).as_array()
+    x = np.concatenate([y0.real, y0.imag, [1.0]])
+    eye = np.eye(_DIM)
     times = [0.0]
-    moments = [y]
+    states = [x]
     global_step = 0
     for t_start, t_stop, window in integration_legs(t_end, params.tau):
         span = t_stop - t_start
@@ -192,31 +244,35 @@ def integrate(
             continue
         n_steps = max(1, math.ceil(span / step - 1e-12))
         h = span / n_steps
-        g = params.g * window
-        for k in range(n_steps):
-            t = t_start + k * h
-            k1 = _rhs(t, y, g, params, profile)
-            k2 = _rhs(t + 0.5 * h, y + 0.5 * h * k1, g, params, profile)
-            k3 = _rhs(t + 0.5 * h, y + 0.5 * h * k2, g, params, profile)
-            k4 = _rhs(t + h, y + h * k3, g, params, profile)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            global_step += 1
-            if global_step % sample_stride == 0:
-                # pin the leg endpoint exactly; accumulated k*h rounds off
-                times.append(t_stop if k == n_steps - 1 else t_start + (k + 1) * h)
-                moments.append(y)
+        gen = _generator(params.g * window, params)
+        for k0 in range(0, n_steps, BLOCK_STEPS):
+            t = t_start + np.arange(k0, min(k0 + BLOCK_STEPS, n_steps)) * h
+            f = drive_field(np.stack([t, t + 0.5 * h, t + h]), profile, params.delta_r, params.gamma)
+            coef = np.stack([np.ones(f.shape), f.real, f.imag], axis=-1)
+            a1, a2, a4 = (coef @ gen).reshape(3, len(t), _DIM, _DIM)
+            k2 = a2 @ (eye + (0.5 * h) * a1)
+            k3 = a2 @ (eye + (0.5 * h) * k2)
+            k4 = a4 @ (eye + h * k3)
+            maps = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for k, p in enumerate(maps, start=k0):
+                x = p @ x
+                global_step += 1
+                if global_step % sample_stride == 0:
+                    # pin the leg endpoint exactly; accumulated k*h rounds off
+                    times.append(t_stop if k == n_steps - 1 else t_start + (k + 1) * h)
+                    states.append(x)
     if times[-1] != t_end:
         times.append(t_end)
-        moments.append(y)
+        states.append(x)
 
+    xs = np.array(states)
     traj = Trajectory(
         times=np.array(times),
-        moments=np.array(moments),
+        moments=xs[:, :8] + 1j * xs[:, 8:16],
         params=params,
         profile=profile,
         step=step,
     )
     if check_invariants:
-        for i in range(len(traj)):
-            traj.state_at(i).validate()
+        _check_physical(traj.moments, PHYSICALITY_TOL, traj.times)
     return traj

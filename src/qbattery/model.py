@@ -7,7 +7,9 @@ reports) are dimensionless in these units.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -48,6 +50,13 @@ def bose_occupation(omega0: float, kT: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 class DriveKind(str, enum.Enum):
     """Selector for the coherent-field family applied to the charger."""
 
@@ -71,6 +80,7 @@ class DriveProfile:
     omega_env: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("f0", "omega_env"))
         if self.f0 < 0:
             raise ConfigError(f"drive amplitude f0 must be >= 0, got {self.f0}")
         if self.kind in (DriveKind.SIN_SQ, DriveKind.CD_SIN_SQ) and self.omega_env <= 0:
@@ -123,6 +133,7 @@ class ModelParams:
     tau: float
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self)])
         if self.omega0 <= 0:
             raise ConfigError(f"omega0 must be > 0, got {self.omega0}")
         if self.g < 0:
@@ -180,13 +191,14 @@ def coupling_window(t: float, tau: float) -> float:
     return 1.0 if 0.0 <= t <= tau else 0.0
 
 
-def envelope(t: float, profile: DriveProfile) -> float:
+def envelope(t, profile: DriveProfile):
     """Bare (real) drive envelope F(t), before any counterdiabatic correction.
 
     OFF -> 0, STATIC -> f0, SIN_SQ and CD_SIN_SQ -> f0 * sin^2(omega_env * t).
+    ``t`` may be a float or an array; the result has its shape.
     """
     if profile.kind is DriveKind.OFF:
-        return 0.0
+        return np.zeros(np.shape(t))[()]
     if profile.kind is DriveKind.STATIC:
-        return profile.f0
-    return profile.f0 * math.sin(profile.omega_env * t) ** 2
+        return np.full(np.shape(t), profile.f0)[()]
+    return profile.f0 * np.square(np.sin(profile.omega_env * t))

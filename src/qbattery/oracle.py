@@ -41,9 +41,6 @@ class DenseState:
         """Partial trace over the charger, shape (n_b, n_b)."""
         return np.einsum("mnml->nl", self.tensor())
 
-    def reduced_charger(self) -> np.ndarray:
-        return np.einsum("mnkn->mk", self.tensor())
-
     def validate(self) -> None:
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -197,21 +194,24 @@ def dense_evolve(
 
 
 def extract_moments(state: DenseState) -> MomentState:
-    """All eight tracked moments of a dense state, as trace(rho * X)."""
-    ops = mode_operators(state.n_a, state.n_b)
-    a, b, ad, bd = ops["a"], ops["b"], ops["ad"], ops["bd"]
-    rho = state.rho
+    """All eight tracked moments of a dense state, as trace(rho X).
 
-    def ex(op: np.ndarray) -> complex:
-        return complex(np.einsum("ij,ji->", rho, op))
+    Each truncated product X of :func:`mode_operators` shifts the Fock indices
+    by fixed amounts, so trace(rho X) is a weighted sum over one shifted
+    diagonal of a reduced or of the joint density matrix.
+    """
+    r = state.tensor()
+    sa, sb = np.sqrt(np.arange(1, state.n_a)), np.sqrt(np.arange(1, state.n_b))
 
-    return MomentState(
-        a_mean=ex(a),
-        b_mean=ex(b),
-        na=ex(ad @ a).real,
-        nb=ex(bd @ b).real,
-        ab_dag=ex(a @ bd),
-        a_sq=ex(a @ a),
-        b_sq=ex(b @ b),
-        ab=ex(a @ b),
-    )
+    def single(rho1: np.ndarray, s: np.ndarray) -> tuple[complex, float, complex]:
+        """<x>, <x^dag x> and <x^2> of one mode, from its reduced density matrix."""
+        occupation = np.arange(len(rho1)) @ np.diagonal(rho1).real
+        return s @ np.diagonal(rho1, -1), occupation, (s[1:] * s[:-1]) @ np.diagonal(rho1, -2)
+
+    a, na, a_sq = single(np.einsum("mnkn->mk", r), sa)
+    b, nb, b_sq = single(state.reduced_battery(), sb)
+    # sums of rho[m, n, m-1, n+1] sqrt(m (n+1)) and of rho[m, n, m-1, n-1] sqrt(m n)
+    ab_dag = sa @ np.einsum("mnmn->mn", r[1:, :-1, :-1, 1:]) @ sb
+    ab = sa @ np.einsum("mnmn->mn", r[1:, 1:, :-1, :-1]) @ sb
+    moments = (a, b, na, nb, ab_dag, a_sq, b_sq, ab)
+    return MomentState.from_array(np.array(moments, dtype=complex))

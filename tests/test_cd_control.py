@@ -76,6 +76,24 @@ class TestCdField:
         cd_prof = DriveProfile.cd_sin_sq(1.0, 1.0)
         assert drive_field(math.pi / 4, cd_prof, 0.0, 2.0) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            DriveProfile.off(),
+            DriveProfile.static(0.3),
+            DriveProfile.sin_sq(0.3, 0.7),
+            DriveProfile.cd_sin_sq(0.3, 0.7),
+        ],
+        ids=lambda d: d.kind.value,
+    )
+    def test_drive_field_on_array_matches_scalar_calls(self, prof):
+        ts = np.linspace(0.0, 37.0, 1001)
+        for delta_r, gamma in ((0.4, 0.3), (0.0, 1.0), (-3.0, 0.0)):
+            field = drive_field(ts, prof, delta_r, gamma)
+            scalars = [drive_field(float(t), prof, delta_r, gamma) for t in ts]
+            assert field.shape == ts.shape
+            assert np.array_equal(field, np.array(scalars))
+
 
 class TestSteadyDisplacement:
     def test_zero_field(self):

@@ -1,9 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qbattery.dynamics import MomentState, integrate, max_step, moment_rhs
+from qbattery.dynamics import (
+    BLOCK_STEPS,
+    MomentState,
+    integrate,
+    integration_legs,
+    max_step,
+    moment_rhs,
+)
 from qbattery.errors import InvariantViolation, StepTooLarge
 from qbattery.model import DriveProfile, ModelParams
 
@@ -24,6 +32,81 @@ def coherent_pair(alpha, beta):
         b_sq=beta**2,
         ab=alpha * beta,
     )
+
+
+def textbook_rk4(p, prof, step, t_end, stride=1, initial=None):
+    """Classical RK4 over moment_rhs, one vector step at a time: the reference."""
+    y = (initial or MomentState.vacuum()).as_array()
+    times, moments, done = [0.0], [y], 0
+    for t0, t1, window in integration_legs(t_end, p.tau):
+        if t1 <= t0:
+            continue
+        n = max(1, math.ceil((t1 - t0) / step - 1e-12))
+        h = (t1 - t0) / n
+        # moment_rhs gates g by t; a leg holds its window fixed, stage t + h included
+        leg = replace(p, g=p.g * window, tau=2.0 * t_end + 1.0)
+
+        def rhs(t, y):
+            return moment_rhs(t, MomentState.from_array(y), leg, prof).as_array()
+
+        for k in range(n):
+            t = t0 + k * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            done += 1
+            if done % stride == 0:
+                times.append(t1 if k == n - 1 else t0 + (k + 1) * h)
+                moments.append(y)
+    if times[-1] != t_end:
+        times.append(t_end)
+        moments.append(y)
+    return np.array(times), np.array(moments)
+
+
+def assert_matches_textbook(p, prof, step, t_end, stride=1, initial=None):
+    traj = integrate(p, prof, step, t_end, stride, initial=initial)
+    times, moments = textbook_rk4(p, prof, step, t_end, stride, initial)
+    assert np.array_equal(traj.times, times)
+    scale = np.max(np.abs(moments))
+    assert np.max(np.abs(traj.moments - moments)) <= 1e-12 * scale
+
+
+DRIVES = [
+    DriveProfile.off(),
+    DriveProfile.static(0.3),
+    DriveProfile.sin_sq(0.3, 0.5),
+    DriveProfile.cd_sin_sq(0.3, 0.5),
+]
+
+
+class TestBlockedStepping:
+    """integrate's blocked affine maps against the one-step-at-a-time loop."""
+
+    @pytest.mark.parametrize("prof", DRIVES, ids=lambda d: d.kind.value)
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_two_legs_uneven_step(self, prof, stride):
+        # tau < t_end splits the run; 0.013 divides neither leg
+        p = params(g=0.2, gamma=0.3, nbar=0.2, delta_r=0.4, tau=2.0)
+        assert_matches_textbook(p, prof, 0.013, 3.1, stride)
+
+    @pytest.mark.parametrize("prof", DRIVES, ids=lambda d: d.kind.value)
+    def test_non_vacuum_initial(self, prof):
+        p = params(g=0.2, gamma=0.3, nbar=0.2, delta_r=0.4, tau=1.0)
+        start = coherent_pair(0.4 - 0.2j, 0.1j)
+        assert_matches_textbook(p, prof, 0.01, 1.7, 3, initial=start)
+
+    @pytest.mark.parametrize(
+        "n_steps", sorted({63, 64, 65, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1})
+    )
+    def test_block_edges(self, n_steps):
+        p = params(g=0.2, gamma=0.3, nbar=0.2, delta_r=0.4, tau=10.0)
+        prof = DriveProfile.cd_sin_sq(0.3, 0.5)
+        traj = integrate(p, prof, 1.0 / n_steps, 1.0)
+        assert len(traj) == n_steps + 1
+        assert_matches_textbook(p, prof, 1.0 / n_steps, 1.0)
 
 
 class TestMomentRhs:
@@ -150,6 +233,17 @@ class TestIntegrate:
         with pytest.raises(InvariantViolation):
             integrate(params(), DriveProfile.off(), 0.01, 0.5, initial=bad)
 
+    def test_invariant_violation_names_first_bad_sample(self):
+        # |<a b^dag>|^2 <= na (nb + 1) holds at t = 0, but nb = 0 forbids any
+        # cross moment, so the exchange drives nb negative within one step
+        start = MomentState(na=1.0, ab_dag=-0.9j)
+        with pytest.raises(InvariantViolation, match=r"sample 1 at t=0\.01: negative occupation"):
+            integrate(params(g=0.5), DriveProfile.off(), 0.01, 1.0, initial=start)
+
+    def test_invariant_check_rejects_non_finite_moments(self):
+        with pytest.raises(InvariantViolation, match="sample 0 at t=0: non-finite"):
+            integrate(params(), DriveProfile.off(), 0.01, 0.5, initial=MomentState(na=math.nan))
+
     def test_coupling_window_freezes_battery(self):
         p = params(g=0.4, gamma=0.5, tau=3.0)
         prof = DriveProfile.static(0.2)
@@ -170,3 +264,11 @@ class TestMomentStateValidate:
     def test_rejects_cauchy_schwarz_violation(self):
         with pytest.raises(InvariantViolation):
             MomentState(na=0.1, nb=0.1, ab_dag=1.0 + 0j).validate()
+
+    @pytest.mark.parametrize(
+        "state",
+        [MomentState(na=math.nan), MomentState(nb=math.inf), MomentState(a_sq=complex(0.0, math.nan))],
+    )
+    def test_rejects_non_finite(self, state):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            state.validate()

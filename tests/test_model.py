@@ -91,6 +91,20 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["omega0", "g", "gamma", "nbar", "delta_r", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, field, value):
+        kwargs = dict(omega0=1.0, g=0.1, gamma=0.1, nbar=0.0, delta_r=0.0, tau=1.0)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["f0", "omega_env"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_profile_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            DriveProfile(DriveKind.CD_SIN_SQ, **{"f0": 0.2, "omega_env": 0.5, field: value})
+
     def test_build_resolves_kappa(self):
         p = ModelParams.build(omega0=2.0, g=0.1, gamma=0.1, tau=1.0, kappa=0.5)
         assert p.delta_r == pytest.approx(1.0)

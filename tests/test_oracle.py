@@ -115,6 +115,19 @@ class TestExtractMoments:
         assert m.a_sq == 0
         assert m.na == pytest.approx(nbar, abs=1e-8)
 
+    @pytest.mark.parametrize("cutoffs", [(4, 4), (5, 7), (14, 14)])
+    def test_matches_operator_form(self, cutoffs):
+        n_a, n_b = cutoffs
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((n_a * n_b,) * 2) + 1j * rng.standard_normal((n_a * n_b,) * 2)
+        rho = z @ z.conj().T
+        rho /= np.trace(rho)
+        ops = mode_operators(n_a, n_b)
+        a, b, ad, bd = ops["a"], ops["b"], ops["ad"], ops["bd"]
+        expected = [np.trace(rho @ op) for op in (a, b, ad @ a, bd @ b, a @ bd, a @ a, b @ b, a @ b)]
+        m = extract_moments(DenseState(rho=rho, n_a=n_a, n_b=n_b))
+        assert np.max(np.abs(m.as_array() - np.array(expected))) < 1e-14
+
     def test_mode_operators_commutator(self):
         ops = mode_operators(6, 5)
         comm = ops["a"] @ ops["ad"] - ops["ad"] @ ops["a"]
