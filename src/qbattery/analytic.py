@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate
+from .dynamics import default_step, integrate
 from .errors import ResonantEnvelope
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -208,7 +208,7 @@ def validate_against_numerics(
     if params.nbar != 0.0:
         raise ValueError("closed-form trajectory exists only at zero temperature")
     if step is None:
-        step = min(0.01, 0.5 * 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0))
+        step = default_step(params, profile)
     traj = integrate(params, profile, step, t_end, sample_stride=sample_stride)
     ts = traj.times
     a_num = traj.moments[:, 0]

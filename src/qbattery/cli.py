@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, energetics, oracle
 from .cd_control import HermitianTrajectorySample, cd_hamiltonian_closed, propagate_unitary
-from .dynamics import Trajectory, integrate
+from .dynamics import Trajectory, default_step, integrate
 from .errors import ConfigError, QBatteryError
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -165,8 +165,7 @@ def parse_config(doc: dict) -> RunConfig:
     if kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
         raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
 
-    default_step = min(0.01, 0.5 * 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0))
-    step = _number(num, "step", "numerics", default_step)
+    step = _number(num, "step", "numerics", default_step(params, profile))
     if step <= 0:
         raise ConfigError(f"numerics.step must be > 0, got {step}")
 
@@ -224,55 +223,37 @@ def load_config(path: str) -> RunConfig:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
+#: one CSV data row: 17 significant digits per value, as format(x, ".16e") gives
+_ROW_FORMAT = ",".join(["%.16e"] * len(OUTPUT_COLUMNS))
 
 
-def trajectory_rows(traj: Trajectory):
-    """OutputRow values per retained sample, in OUTPUT_COLUMNS order."""
-    g = traj.params.g
+def trajectory_rows(traj: Trajectory) -> np.ndarray:
+    """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
     omega0 = traj.params.omega0
-    for t, s in traj:
-        rep = energetics.ergotropy_b(s, omega0)
-        yield (
-            t,
-            g * t,
-            s.a_mean.real,
-            s.a_mean.imag,
-            s.b_mean.real,
-            s.b_mean.imag,
-            s.na,
-            0.0,
-            s.nb,
-            0.0,
-            s.ab_dag.real,
-            s.ab_dag.imag,
-            s.a_sq.real,
-            s.a_sq.imag,
-            s.b_sq.real,
-            s.b_sq.imag,
-            s.ab.real,
-            s.ab.imag,
-            rep.e_b / omega0,
-            rep.ergotropy_b / omega0,
-            rep.e_a / omega0,
-            rep.m_value,
-        )
+    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, omega0, traj.times)
+    rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
+    rows[:, 0] = traj.times
+    rows[:, 1] = traj.params.g * traj.times
+    rows[:, 2:18:2] = traj.moments.real
+    rows[:, 3:18:2] = traj.moments.imag
+    rows[:, [7, 9]] = 0.0  # na_im, nb_im: occupations are real
+    rows[:, 18:] = np.column_stack([e_b / omega0, erg / omega0, e_a / omega0, m_value])
+    return rows
 
 
 def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict) -> int:
     """Write one run artifact; returns the number of data rows."""
-    rows = list(trajectory_rows(traj))
+    rows = trajectory_rows(traj).tolist()
     if fmt == "csv":
-        lines = [",".join(OUTPUT_COLUMNS)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines = [",".join(OUTPUT_COLUMNS)] + [_ROW_FORMAT % tuple(row) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
+        # every double survives its 17-digit CSV text, so JSON rows are the values
         doc = {
             "schema": "qbattery-data-v1",
             "config": config_echo,
             "columns": list(OUTPUT_COLUMNS),
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
+            "rows": rows,
         }
         _write_json(path, doc)
     return len(rows)
@@ -352,6 +333,7 @@ def run_sweep(config: RunConfig) -> tuple[Path, bool]:
         except QBatteryError as exc:
             entry["status"] = "error"
             entry["error"] = str(exc)
+            entry["error_type"] = type(exc).__name__
             all_ok = False
         runs.append(entry)
     manifest = {
@@ -380,9 +362,8 @@ def compare_drives(config: RunConfig) -> dict:
     argmax = {}
     for name, profile in partners.items():
         traj = integrate(config.params, profile, config.step, config.t_end, config.sample_stride)
-        series = np.array(
-            [r.ergotropy_b / config.params.omega0 for r in energetics.report_series(traj)]
-        )
+        erg = energetics.energy_columns(traj.moments, config.params.omega0, traj.times)[1]
+        series = erg / config.params.omega0
         k = int(np.argmax(series))
         maxima[name] = float(series[k])
         argmax[name] = float(config.params.g * traj.times[k])

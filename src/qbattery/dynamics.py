@@ -26,7 +26,7 @@ from .cd_control import drive_field
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams, coupling_window
 
-__all__ = ["MomentState", "Trajectory", "integrate", "max_step", "moment_rhs"]
+__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "moment_rhs"]
 
 #: absolute tolerance for physicality checks on stored samples
 PHYSICALITY_TOL = 1e-9
@@ -54,12 +54,21 @@ def _check_physical(m: np.ndarray, tol: float, times: np.ndarray | None = None) 
             "centered battery occupation negative": nb < np.abs(m[:, _B]) ** 2 - tol,
             "cross moment violates Cauchy-Schwarz": np.abs(m[:, _ABD]) ** 2 > na * (nb + 1.0) + tol,
         }
+    raise_first_failure(checks, times, InvariantViolation, lambda i: f"na={na[i]}, nb={nb[i]}")
+
+
+def raise_first_failure(checks: dict, times, error: type, detail) -> None:
+    """Raise ``error`` at the first row that any boolean mask in ``checks`` flags.
+
+    The message gives the first flagged reason for that row, prefixed with its
+    sample index and time when ``times`` is given, and ends with ``detail(i)``.
+    """
     bad = np.flatnonzero(np.any(list(checks.values()), axis=0))
     if bad.size:
         i = int(bad[0])
         reason = next(msg for msg, mask in checks.items() if mask[i])
         where = "" if times is None else f"sample {i} at t={times[i]:.6g}: "
-        raise InvariantViolation(f"{where}{reason}: na={na[i]}, nb={nb[i]}")
+        raise error(f"{where}{reason}: {detail(i)}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,11 @@ def max_step(params: ModelParams, profile: DriveProfile) -> float:
     return 0.05 / max(omega_env, params.g, params.gamma, params.omega0)
 
 
+def default_step(params: ModelParams, profile: DriveProfile) -> float:
+    """Integrator step used when a run does not set one."""
+    return min(0.01, 0.5 * 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0))
+
+
 @dataclass
 class Trajectory:
     """Sampled moment history of one run; immutable once produced.
@@ -191,10 +205,6 @@ class Trajectory:
 
     def state_at(self, i: int) -> MomentState:
         return MomentState.from_array(self.moments[i])
-
-    def __iter__(self):
-        for i, t in enumerate(self.times):
-            yield float(t), self.state_at(i)
 
 
 def integrate(

@@ -6,15 +6,16 @@ closed form in the moments: with
     M = (1 + 2<b'b> - 2|<b>|^2)^2 - 4|<b^2> - <b>^2|^2
 
 the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2). Physical Gaussian
-states have M >= 1.
+states have M >= 1. :func:`energy_columns` evaluates this on every row of an
+(n, 8) moment array at once; the single-state functions are one-row calls of
+it, so a series and its samples share one formula and one set of checks.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import MomentState, Trajectory, integrate
+from .dynamics import MomentState, Trajectory, integrate, raise_first_failure
 from .errors import DecompositionMismatch, UnphysicalState
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -24,6 +25,7 @@ __all__ = [
     "decompose",
     "energy_a",
     "energy_b",
+    "energy_columns",
     "ergotropy_b",
     "gaussian_m",
     "passive_energy_dense",
@@ -56,11 +58,46 @@ def energy_a(alpha: complex, omega0: float) -> float:
     return omega0 * abs(alpha) ** 2
 
 
+def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
+    """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
+
+    ``moments`` is an (n, 8) array in :class:`Trajectory` order; energies are
+    in units of omega0. A negative ergotropy within the noise floor is
+    clamped to 0.
+
+    Raises
+    ------
+    UnphysicalState
+        At the first row with a non-finite moment, M < 1 - 1e-6 (the moments
+        do not describe a Gaussian state) or ergotropy below -1e-9, named with
+        its sample index and time when ``times`` is given.
+    """
+    # real products and libm hypot: numpy's complex multiply and abs run SIMD
+    # kernels chosen per CPU that round differently, and artifact bytes must not
+    a, b, nb, b_sq = moments[:, 0], moments[:, 1], moments[:, 3].real, moments[:, 6]
+    e_b = omega0 * nb
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows fail the first check
+        centered_n = 1.0 + 2.0 * nb - 2.0 * np.hypot(b.real, b.imag) ** 2
+        centered_sq = np.hypot(b_sq.real - (b.real**2 - b.imag**2), b_sq.imag - 2.0 * b.real * b.imag)
+        m = centered_n**2 - 4.0 * centered_sq**2
+        erg = e_b - omega0 * (np.sqrt(np.maximum(m, 0.0)) - 1.0) / 2.0
+        checks = {
+            "non-finite moment": ~np.isfinite(moments).all(axis=1),
+            "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
+            "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
+        }
+    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy={erg[i]}")
+    erg = np.where(erg < 0.0, 0.0, erg)
+    return e_b, erg, e_b - erg, m, omega0 * np.hypot(a.real, a.imag) ** 2
+
+
 def gaussian_m(state: MomentState) -> float:
-    """The Gaussian passive-state discriminant M (1 for pure coherent states)."""
-    centered_n = 1.0 + 2.0 * state.nb - 2.0 * abs(state.b_mean) ** 2
-    centered_sq = state.b_sq - state.b_mean**2
-    return centered_n**2 - 4.0 * abs(centered_sq) ** 2
+    """Gaussian passive-state discriminant M (1 for pure coherent states); raises as ergotropy_b."""
+    return float(energy_columns(state.as_array()[None, :], 1.0)[3][0])
+
+
+def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:
+    return [EnergyReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def ergotropy_b(state: MomentState, omega0: float) -> EnergyReport:
@@ -69,29 +106,14 @@ def ergotropy_b(state: MomentState, omega0: float) -> EnergyReport:
     Raises
     ------
     UnphysicalState
-        If M < 1 - 1e-6, i.e. the moments do not describe a Gaussian state.
+        As :func:`energy_columns`, for this one state.
     """
-    m = gaussian_m(state)
-    if m < 1.0 - M_PHYSICALITY_TOL:
-        raise UnphysicalState(f"Gaussian discriminant M = {m} below 1")
-    passive = omega0 * (math.sqrt(max(m, 0.0)) - 1.0) / 2.0
-    erg = omega0 * state.nb - passive
-    if erg < 0.0:
-        if erg < -NEGATIVE_CLAMP:
-            raise UnphysicalState(f"ergotropy {erg} below clamp threshold")
-        erg = 0.0
-    return EnergyReport(
-        e_b=omega0 * state.nb,
-        ergotropy_b=erg,
-        passive_b=omega0 * state.nb - erg,
-        m_value=m,
-        e_a=energy_a(state.a_mean, omega0),
-    )
+    return _reports(energy_columns(state.as_array()[None, :], omega0))[0]
 
 
 def report_series(traj: Trajectory) -> list[EnergyReport]:
     """Energetics of every retained sample of a trajectory."""
-    return [ergotropy_b(s, traj.params.omega0) for _, s in traj]
+    return _reports(energy_columns(traj.moments, traj.params.omega0, traj.times))
 
 
 @dataclass
@@ -128,42 +150,27 @@ def decompose(
         Carrying the largest pointwise residual if either identity fails
         beyond ``tolerance``.
     """
-    thermal_profile = DriveProfile.off()
-    coherent_params = ModelParams(
-        omega0=params.omega0,
-        g=params.g,
-        gamma=params.gamma,
-        nbar=0.0,
-        delta_r=params.delta_r,
-        tau=params.tau,
-    )
-    run_total = integrate(params, profile, step, t_end, sample_stride)
-    run_thermal = integrate(params, thermal_profile, step, t_end, sample_stride)
-    run_coherent = integrate(coherent_params, profile, step, t_end, sample_stride)
-
-    total = report_series(run_total)
-    thermal = report_series(run_thermal)
-    coherent = report_series(run_coherent)
-
-    e_res = max(
-        abs(ft.e_b - (th.e_b + co.e_b)) for ft, th, co in zip(total, thermal, coherent)
-    )
+    runs = [
+        integrate(params, profile, step, t_end, sample_stride),
+        integrate(params, DriveProfile.off(), step, t_end, sample_stride),
+        integrate(replace(params, nbar=0.0), profile, step, t_end, sample_stride),
+    ]
+    total, thermal, coherent = (energy_columns(r.moments, params.omega0, r.times) for r in runs)
+    e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns
     if e_res > tolerance:
         raise DecompositionMismatch(
             f"energy additivity residual {e_res:.3e} exceeds {tolerance}", e_res
         )
-    erg_res = max(
-        abs(ft.ergotropy_b - co.ergotropy_b) for ft, co in zip(total, coherent)
-    )
+    erg_res = float(np.max(np.abs(total[1] - coherent[1])))  # ergotropy columns
     if erg_res > tolerance:
         raise DecompositionMismatch(
             f"ergotropy/coherent-part residual {erg_res:.3e} exceeds {tolerance}", erg_res
         )
     return DecompositionResult(
-        times=run_total.times,
-        total=total,
-        thermal=thermal,
-        coherent=coherent,
+        times=runs[0].times,
+        total=_reports(total),
+        thermal=_reports(thermal),
+        coherent=_reports(coherent),
         max_energy_residual=e_res,
         max_ergotropy_residual=erg_res,
     )

@@ -1,0 +1,88 @@
+"""Artifact bytes against a per-sample reference writer."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qbattery.cli import _ROW_FORMAT, OUTPUT_COLUMNS, write_trajectory
+from qbattery.dynamics import integrate
+from qbattery.model import DriveProfile, ModelParams
+
+ECHO = {"note": "echo"}
+N_MOMENT_COLUMNS = 18  # t, g_tau and the 16 moment parts; energetics follow
+
+
+def reference_rows(traj):
+    """Rows built one MomentState at a time with the scalar Gaussian closed form."""
+    omega0, rows = traj.params.omega0, []
+    for i, t in enumerate(traj.times.tolist()):
+        s = traj.state_at(i)
+        m = (1.0 + 2.0 * s.nb - 2.0 * abs(s.b_mean) ** 2) ** 2 - 4.0 * abs(s.b_sq - s.b_mean**2) ** 2
+        erg = max(omega0 * s.nb - omega0 * (math.sqrt(m) - 1.0) / 2.0, 0.0)
+        moments = [s.a_mean, s.b_mean, s.na, s.nb, s.ab_dag, s.a_sq, s.b_sq, s.ab]
+        parts = [p for z in moments for p in (z.real, z.imag)]
+        parts[5] = parts[7] = 0.0  # na_im, nb_im
+        e_a = omega0 * abs(s.a_mean) ** 2
+        rows.append([t, traj.params.g * t, *parts, omega0 * s.nb / omega0, erg / omega0, e_a / omega0, m])
+    return rows
+
+
+def reference_text(traj, fmt):
+    rows = reference_rows(traj)
+    if fmt == "csv":
+        lines = [",".join(OUTPUT_COLUMNS)] + [",".join(format(v, ".16e") for v in r) for r in rows]
+        return "\n".join(lines) + "\n"
+    doc = {
+        "schema": "qbattery-data-v1",
+        "config": ECHO,
+        "columns": list(OUTPUT_COLUMNS),
+        "rows": [[float(format(v, ".16e")) for v in r] for r in rows],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+DRIVES = {
+    "off": DriveProfile.off(),
+    "static": DriveProfile.static(0.2),
+    "sin_sq": DriveProfile.sin_sq(0.3, 0.5),
+    "cd": DriveProfile.cd_sin_sq(0.2, 0.5),
+}
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+@pytest.mark.parametrize("drive", sorted(DRIVES))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_matches_per_sample_reference(tmp_path, fmt, drive, nbar):
+    params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=nbar, delta_r=0.5, tau=3.0)
+    traj = integrate(params, DRIVES[drive], 0.01, 5.0, sample_stride=1)
+    path = tmp_path / f"run.{fmt}"
+    assert write_trajectory(path, traj, fmt, ECHO) == len(traj)
+    got, want = path.read_text(), reference_text(traj, fmt)
+    if fmt == "csv":
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        assert got_lines[0] == want_lines[0] and got_lines[-1] == want_lines[-1] == ""
+        got_cells = [line.split(",") for line in got_lines[1:-1]]
+        want_cells = [line.split(",") for line in want_lines[1:-1]]
+    else:
+        got_doc, want_doc = json.loads(got), json.loads(want)
+        got_cells, want_cells = got_doc.pop("rows"), want_doc.pop("rows")
+        assert got_doc == want_doc
+    assert len(got_cells) == len(want_cells) == len(traj)
+    # time and moment columns: the same text or the same doubles, sign of zero included
+    assert [r[:N_MOMENT_COLUMNS] for r in got_cells] == [r[:N_MOMENT_COLUMNS] for r in want_cells]
+    got_vals, want_vals = np.array(got_cells, dtype=float), np.array(want_cells, dtype=float)
+    assert np.array_equal(np.signbit(got_vals), np.signbit(want_vals))
+    assert np.max(np.abs(got_vals[:, N_MOMENT_COLUMNS:] - want_vals[:, N_MOMENT_COLUMNS:])) <= 1e-12
+
+
+def test_row_format_matches_per_value_format():
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0]
+    bits = np.random.default_rng(5).integers(0, 2**64, size=(200, len(OUTPUT_COLUMNS)), dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    doubles = doubles[np.isfinite(doubles).all(axis=1)]
+    rows = [edge + edge + edge[:6]] + doubles.tolist()
+    for row in rows:
+        assert _ROW_FORMAT % tuple(row) == ",".join(format(v, ".16e") for v in row)
+        assert [float(format(v, ".16e")) for v in row] == row

@@ -15,6 +15,7 @@ from qbattery.cli import (
     run_sweep,
     selftest_report,
 )
+from qbattery.dynamics import default_step
 from qbattery.errors import ConfigError
 
 
@@ -74,6 +75,14 @@ class TestConfigParsing:
         doc = base_config(tmp_path / "o.csv", sweep={"parameter": "flux", "values": [1.0]})
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    @pytest.mark.parametrize("omega_env,expected", [(0.5, 0.01), (5.0, 0.005)])
+    def test_default_step(self, tmp_path, omega_env, expected):
+        doc = base_config(tmp_path / "o.csv")
+        del doc["numerics"]["step"]
+        doc["drive"]["omega_env"] = omega_env
+        cfg = parse_config(doc)
+        assert cfg.step == default_step(cfg.params, cfg.profile) == expected
 
     def test_kappa_resolves_detuning(self, tmp_path):
         doc = base_config(tmp_path / "o.csv")
@@ -161,6 +170,17 @@ class TestSweep:
         doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "F0", "values": [0.1, 0.2]})
         p = write_config(tmp_path, doc)
         assert main(["sweep", "--config", str(p)]) == 0
+
+
+    def test_failed_point_records_error_type(self, tmp_path):
+        # the configured step 0.01 exceeds the cap 0.05/g of the g = 10 point
+        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "g", "values": [0.2, 10.0]})
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 2
+        ok, failed = json.loads((tmp_path / "sw.csv.manifest.json").read_text())["runs"]
+        assert ok["status"] == "ok" and "error_type" not in ok
+        assert failed["status"] == "error"
+        assert failed["error_type"] == "StepTooLarge"
 
 
 class TestCompare:

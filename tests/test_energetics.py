@@ -1,11 +1,17 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbattery.dynamics import MomentState
+from qbattery.dynamics import MomentState, integrate
 from qbattery.energetics import (
     decompose,
     energy_a,
     energy_b,
+    energy_columns,
     ergotropy_b,
     gaussian_m,
     passive_energy_dense,
@@ -69,9 +75,38 @@ class TestErgotropy:
         assert rep.ergotropy_b == 0.0
         assert rep.passive_b == rep.e_b
 
-    def test_report_invariants_along_trajectory(self):
-        from qbattery.dynamics import integrate
+    @pytest.mark.parametrize(
+        "state",
+        [
+            MomentState(nb=math.nan),
+            MomentState(nb=math.inf),
+            MomentState(b_mean=complex(0.0, -math.inf)),
+            MomentState(a_mean=complex(math.nan, 0.0), nb=1.0),
+        ],
+    )
+    def test_non_finite_state_rejected(self, state):
+        with pytest.raises(UnphysicalState, match="non-finite moment"):
+            ergotropy_b(state, 1.0)
+        with pytest.raises(UnphysicalState, match="non-finite moment"):
+            gaussian_m(state)
 
+    @pytest.mark.parametrize(
+        "row,column,value,message",
+        [
+            (5, 6, 10.0 + 0j, "sample 5 at t=0.5: Gaussian discriminant M below 1"),
+            (3, 3, math.nan, "sample 3 at t=0.3: non-finite moment"),
+        ],
+    )
+    def test_series_names_first_bad_sample(self, row, column, value, message):
+        params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
+        traj = integrate(params, DriveProfile.cd_sin_sq(0.3, 0.5), 0.01, 1.0, sample_stride=10)
+        moments = traj.moments.copy()
+        moments[row, column] = value
+        moments[row + 2, 3] = math.inf  # a later bad sample is not the one named
+        with pytest.raises(UnphysicalState, match=message):
+            report_series(dataclasses.replace(traj, moments=moments))
+
+    def test_report_invariants_along_trajectory(self):
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
         prof = DriveProfile.cd_sin_sq(0.3, 0.5)
         traj = integrate(params, prof, 0.01, 10.0, sample_stride=10)
@@ -125,3 +160,35 @@ class TestPassiveStateOracle:
             closed_form = (np.sqrt(gaussian_m(m)) - 1.0) / 2.0
             brute = passive_energy_dense(state.reduced_battery(), omega0=1.0)
             assert brute == pytest.approx(closed_form, abs=1e-9)
+
+
+def squeezed_thermal_row(alpha, beta, n, r, phi):
+    """Moments of a coherent charger and a displaced squeezed thermal battery."""
+    nb = (2 * n + 1) * math.cosh(2 * r) / 2 - 0.5 + abs(beta) ** 2
+    b_sq = -(2 * n + 1) * complex(math.cos(phi), math.sin(phi)) * math.sinh(2 * r) / 2 + beta**2
+    return MomentState(a_mean=alpha, b_mean=beta, na=abs(alpha) ** 2, nb=nb, b_sq=b_sq)
+
+
+_amplitude = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+_states = st.builds(
+    squeezed_thermal_row,
+    alpha=_amplitude,
+    beta=_amplitude,
+    n=st.floats(0.0, 5.0),
+    r=st.floats(0.0, 1.5),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(states=st.lists(_states, min_size=1, max_size=6), omega0=st.floats(0.1, 5.0))
+def test_batch_rows_match_single_state_calls(states, omega0):
+    moments = np.array([s.as_array() for s in states])
+    columns = np.column_stack(energy_columns(moments, omega0))
+    bound = omega0 * (1.0 - math.sqrt(1.0 - 1e-6)) / 2.0
+    for state, row in zip(states, columns):
+        single = np.array(dataclasses.astuple(ergotropy_b(state, omega0)))
+        assert single.tobytes() == row.tobytes()
+        e_b, erg, _, m, _ = row
+        assert m >= 1.0 - 1e-6
+        assert 0.0 <= erg <= e_b + bound
