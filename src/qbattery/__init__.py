@@ -1,9 +1,9 @@
 """Open quantum battery charging with counterdiabatic drive shaping.
 
 Three mutually validating computation paths: closed Gaussian moment
-equations (the workhorse), closed-form zero-temperature amplitudes (a
-cross-check), and brute-force truncated-Fock density-matrix propagation
-(the oracle).
+equations (the workhorse, solved exactly and by RK4), closed-form
+zero-temperature amplitudes (a cross-check), and brute-force truncated-Fock
+density-matrix propagation (the oracle).
 """
 
 from .analytic import (
@@ -23,7 +23,7 @@ from .cd_control import (
     propagate_unitary,
     steady_displacement,
 )
-from .dynamics import MomentState, Trajectory, integrate, max_step, moment_rhs
+from .dynamics import MomentState, Trajectory, integrate, max_step, moment_rhs, propagate
 from .energetics import (
     DecompositionResult,
     EnergyReport,
@@ -95,6 +95,7 @@ __all__ = [
     "integrate",
     "max_step",
     "moment_rhs",
+    "propagate",
     "propagate_unitary",
     "steady_displacement",
     "validate_against_numerics",

@@ -4,7 +4,7 @@ At T = 0 the joint state stays a product of coherent states, so the whole
 run is two complex amplitudes alpha(tau), beta(tau). The published closed
 form for them contains one symbol (here ``B``, inside the coefficient ``d``)
 that is never defined; this module ships the candidate readings and an
-empirical validator that ranks them against the moment integrator. The
+empirical validator that ranks them against the exact moment propagator. The
 numerical engine stays the ground truth for all figures; this module is a
 cross-check only.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import default_step, integrate
+from .dynamics import default_step, propagate
 from .errors import ResonantEnvelope
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -198,7 +198,7 @@ def validate_against_numerics(
     step: float | None = None,
     sample_stride: int = 5,
 ) -> ValidationReport:
-    """Rank every candidate reading against the moment integrator.
+    """Rank every candidate reading against the exact moment propagator.
 
     Requires a zero-temperature configuration (the closed form exists only
     there). A reading is verified when its worst alpha deviation over the
@@ -209,7 +209,7 @@ def validate_against_numerics(
         raise ValueError("closed-form trajectory exists only at zero temperature")
     if step is None:
         step = default_step(params, profile)
-    traj = integrate(params, profile, step, t_end, sample_stride=sample_stride)
+    traj = propagate(params, profile, step, t_end, sample_stride=sample_stride)
     ts = traj.times
     a_num = traj.moments[:, 0]
     b_num = traj.moments[:, 1]

@@ -20,6 +20,7 @@ __all__ = [
     "cd_from_eigensystem",
     "cd_hamiltonian_closed",
     "drive_field",
+    "drive_harmonics",
     "eigensystem_trajectory",
     "propagate_unitary",
     "steady_displacement",
@@ -79,6 +80,23 @@ def drive_field(t, profile: DriveProfile, delta_r: float, gamma: float):
     if profile.kind is DriveKind.CD_SIN_SQ:
         return cd_field(t, profile, delta_r, gamma).f_cd
     return envelope(t, profile) + 0j
+
+
+def drive_harmonics(profile: DriveProfile, delta_r: float, gamma: float) -> tuple[complex, complex, complex]:
+    """Coefficients (c0, c+, c-) of F(t) = c0 + c+ e^{2i w t} + c- e^{-2i w t}, w = omega_env.
+
+    Every profile kind is such a sum: sin^2(w t) = 1/2 - (e^{2iwt} + e^{-2iwt})/4,
+    and the CD correction -i Fdot/(delta_r - i gamma/2) adds -+ f0 w/(2 (delta_r - i gamma/2)).
+    """
+    if profile.kind is DriveKind.OFF:
+        return 0j, 0j, 0j
+    if profile.kind is DriveKind.STATIC:
+        return complex(profile.f0), 0j, 0j
+    c0, c = 0.5 * profile.f0 + 0j, -0.25 * profile.f0 + 0j
+    if profile.kind is DriveKind.SIN_SQ:
+        return c0, c, c
+    corr = profile.f0 * profile.omega_env / (2.0 * _cd_denominator(delta_r, gamma))
+    return c0, c - corr, c + corr
 
 
 def steady_displacement(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> complex:

@@ -11,22 +11,43 @@ convention down.
 
 The equations are real-affine: on x = [Re y, Im y, 1], dx/dt = A(t) x with
 the 17x17 generator A = A_g + Re F A_re + Im F A_im (sources in the last
-column). So a classical RK4 step is the affine map P = I + h/6 (A1 + 2 K2 +
-2 K3 + K4), K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3),
-with A1, A2, A4 taken at t, t + h/2, t + h. :func:`integrate` builds the maps
-of a block of steps with array operations, then applies them step by step.
+column). Two engines solve them on one sample grid (:func:`sample_grid`):
+
+* :func:`propagate`, the engine of the CLI, is exact. Within a leg every
+  drive is a sum of the harmonics {0, +-2i omega_env}, so the means plus those
+  harmonics form a constant-coefficient system, and the centered second
+  moments, which the drive never enters, form another. One matrix
+  exponential per leg carries both to every retained sample.
+* :func:`integrate` is classical RK4, kept as the independent cross-check. A
+  step is the affine map P = I + h/6 (A1 + 2 K2 + 2 K3 + K4), K2 = A2 (I +
+  h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), with A1, A2, A4 taken at
+  t, t + h/2, t + h; the maps of a block of steps are built with array
+  operations, then applied step by step.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cd_control import drive_field
+from .cd_control import drive_field, drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams, coupling_window
 
-__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "moment_rhs"]
+__all__ = [
+    "Leg",
+    "MomentState",
+    "Trajectory",
+    "default_step",
+    "expm",
+    "grid_times",
+    "integrate",
+    "max_step",
+    "moment_rhs",
+    "propagate",
+    "sample_grid",
+]
 
 #: absolute tolerance for physicality checks on stored samples
 PHYSICALITY_TOL = 1e-9
@@ -134,20 +155,24 @@ def _rhs(y: np.ndarray, s, g: float, f: complex, params: ModelParams) -> np.ndar
     return dy
 
 
+def _field_map(g: float, params: ModelParams, f: complex) -> np.ndarray:
+    """Flattened 17x17 map A of dx/dt = A x at the constant field ``f``.
+
+    Column k is :func:`_rhs` at the k-th unit vector of x.
+    """
+    unit = np.eye(_DIM)
+    dy = _rhs(unit[:, :8] + 1j * unit[:, 8:16], unit[:, 16], g, f, params)
+    return np.vstack([dy.real.T, dy.imag.T, np.zeros(_DIM)]).ravel()
+
+
 def _generator(g: float, params: ModelParams) -> np.ndarray:
     """Flattened rows (A_g, A_re, A_im) of dx/dt = (A_g + Re f A_re + Im f A_im) x.
 
-    Column k of each 17x17 map is :func:`_rhs` at the k-th unit vector of x;
-    no entry mixes f and f-free terms, so the columns are exact.
+    No entry of :func:`_field_map` mixes f and f-free terms, so the
+    differences are exact.
     """
-    unit = np.eye(_DIM)
-
-    def at(f: complex) -> np.ndarray:
-        dy = _rhs(unit[:, :8] + 1j * unit[:, 8:16], unit[:, 16], g, f, params)
-        return np.vstack([dy.real.T, dy.imag.T, np.zeros(_DIM)]).ravel()
-
-    a_g = at(0j)
-    return np.stack([a_g, at(1.0 + 0j) - a_g, at(1j) - a_g])
+    a_g = _field_map(g, params, 0j)
+    return np.stack([a_g, _field_map(g, params, 1.0 + 0j) - a_g, _field_map(g, params, 1j) - a_g])
 
 
 def moment_rhs(
@@ -173,6 +198,48 @@ def integration_legs(t_end: float, tau: float) -> list[tuple[float, float, float
     if tau >= t_end:
         return [(0.0, t_end, 1.0)]
     return [(0.0, tau, 1.0), (tau, t_end, 0.0)]
+
+
+class Leg(NamedTuple):
+    """One leg of the fixed-step grid and the steps into it whose states are kept."""
+
+    t_start: float
+    t_stop: float
+    window: float
+    n_steps: int
+    h: float
+    kept: np.ndarray  # step counts j in 1..n_steps, increasing
+
+    def time(self, j):
+        """Time after ``j`` steps; the leg end is pinned, as accumulated j*h rounds off."""
+        return np.where(j == self.n_steps, self.t_stop, self.t_start + j * self.h)
+
+
+def sample_grid(step: float, t_end: float, tau: float, sample_stride: int) -> list[Leg]:
+    """The time grid every engine runs on, leg by leg.
+
+    Each leg of :func:`integration_legs` takes ceil(span/step) equal steps of
+    h = span/n_steps. Every ``sample_stride``-th step of the whole run is
+    kept, counting on across the leg boundary, and so is the final step; with
+    t = 0 these are the sample times.
+    """
+    legs, done = [], 0
+    for t_start, t_stop, window in integration_legs(t_end, tau):
+        span = t_stop - t_start
+        if span <= 0:
+            continue
+        n_steps = max(1, math.ceil(span / step - 1e-12))
+        kept = np.arange(sample_stride - done % sample_stride, n_steps + 1, sample_stride)
+        legs.append(Leg(t_start, t_stop, window, n_steps, span / n_steps, kept))
+        done += n_steps
+    if legs and legs[-1].n_steps not in legs[-1].kept:
+        legs[-1] = legs[-1]._replace(kept=np.append(legs[-1].kept, legs[-1].n_steps))
+    return legs
+
+
+def grid_times(legs: list[Leg]) -> np.ndarray:
+    """Sample times of a :func:`sample_grid`: t = 0, then each leg's kept steps."""
+    return np.concatenate([[0.0]] + [leg.time(leg.kept) for leg in legs])
 
 
 def max_step(params: ModelParams, profile: DriveProfile) -> float:
@@ -207,6 +274,25 @@ class Trajectory:
         return MomentState.from_array(self.moments[i])
 
 
+def _check_run(params: ModelParams, profile: DriveProfile, step: float, t_end: float, sample_stride: int):
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    if t_end < 0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    cap = max_step(params, profile)
+    if step > cap * (1.0 + 1e-12):
+        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
+
+
+def _trajectory(times, moments, params, profile, step, check_invariants) -> Trajectory:
+    traj = Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
+    if check_invariants:
+        _check_physical(traj.moments, PHYSICALITY_TOL, traj.times)
+    return traj
+
+
 def integrate(
     params: ModelParams,
     profile: DriveProfile,
@@ -218,9 +304,9 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta integration of the moment equations.
 
-    Each leg takes ceil(span/step) equal steps, applied as affine maps.
-    Starts from the vacuum (all moments zero) unless ``initial`` is supplied,
-    which is meant for validation runs that inject a prepared state. Every
+    Runs on :func:`sample_grid`, applying each step as an affine map. Starts
+    from the vacuum (all moments zero) unless ``initial`` is supplied, which
+    is meant for validation runs that inject a prepared state. Every
     ``sample_stride``-th step is retained, plus the final one.
 
     Raises
@@ -232,31 +318,19 @@ def integrate(
         tolerance (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    cap = max_step(params, profile)
-    if step > cap * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
-
+    _check_run(params, profile, step, t_end, sample_stride)
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState.vacuum()).as_array()
     x = np.concatenate([y0.real, y0.imag, [1.0]])
     eye = np.eye(_DIM)
-    times = [0.0]
     states = [x]
-    global_step = 0
-    for t_start, t_stop, window in integration_legs(t_end, params.tau):
-        span = t_stop - t_start
-        if span <= 0:
-            continue
-        n_steps = max(1, math.ceil(span / step - 1e-12))
-        h = span / n_steps
-        gen = _generator(params.g * window, params)
-        for k0 in range(0, n_steps, BLOCK_STEPS):
-            t = t_start + np.arange(k0, min(k0 + BLOCK_STEPS, n_steps)) * h
+    for leg in legs:
+        h = leg.h
+        keep = np.zeros(leg.n_steps + 1, dtype=bool)
+        keep[leg.kept] = True
+        gen = _generator(params.g * leg.window, params)
+        for k0 in range(0, leg.n_steps, BLOCK_STEPS):
+            t = leg.t_start + np.arange(k0, min(k0 + BLOCK_STEPS, leg.n_steps)) * h
             f = drive_field(np.stack([t, t + 0.5 * h, t + h]), profile, params.delta_r, params.gamma)
             coef = np.stack([np.ones(f.shape), f.real, f.imag], axis=-1)
             a1, a2, a4 = (coef @ gen).reshape(3, len(t), _DIM, _DIM)
@@ -264,25 +338,132 @@ def integrate(
             k3 = a2 @ (eye + (0.5 * h) * k2)
             k4 = a4 @ (eye + h * k3)
             maps = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for k, p in enumerate(maps, start=k0):
+            for k, p in enumerate(maps, start=k0 + 1):
                 x = p @ x
-                global_step += 1
-                if global_step % sample_stride == 0:
-                    # pin the leg endpoint exactly; accumulated k*h rounds off
-                    times.append(t_stop if k == n_steps - 1 else t_start + (k + 1) * h)
+                if keep[k]:
                     states.append(x)
-    if times[-1] != t_end:
-        times.append(t_end)
-        states.append(x)
 
     xs = np.array(states)
-    traj = Trajectory(
-        times=np.array(times),
-        moments=xs[:, :8] + 1j * xs[:, 8:16],
-        params=params,
-        profile=profile,
-        step=step,
-    )
-    if check_invariants:
-        _check_physical(traj.moments, PHYSICALITY_TOL, traj.times)
-    return traj
+    moments = xs[:, :8] + 1j * xs[:, 8:16]
+    return _trajectory(grid_times(legs), moments, params, profile, step, check_invariants)
+
+
+#: coefficients c_k of the [6/6] Pade approximant to exp, sum c_k x^k / sum c_k (-x)^k
+_PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [6/6] Pade approximant.
+
+    ``a`` is scaled by 2^-s to infinity norm at most 1/2, where the
+    approximant's relative backward error is below 3.4e-16 (Golub & Van Loan,
+    Matrix Computations, alg. 11.3.1), and the result is squared s times. No
+    eigendecomposition is taken, so defective matrices need no special case.
+    """
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    s = max(0, math.frexp(norm)[1] + 1) if norm > 0.5 else 0
+    x = a / 2.0**s
+    eye = np.eye(len(a), dtype=x.dtype)
+    c = _PADE6
+    x2 = x @ x
+    x4 = x2 @ x2
+    odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
+    even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x4 @ x2)
+    e = np.linalg.solve(even - odd, even + odd)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def _orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Rows v, m v, .., m^(count-1) v, built by doubling in O(log count) products."""
+    out, power = v[None], m
+    while len(out) < count:
+        out = np.concatenate([out, out @ power.T])  # power = m^len(out)
+        power = power @ power
+    return out[:count]
+
+
+def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states e^j v at the kept steps j, state at the leg end) for one leg's step map ``e``."""
+    j = leg.kept
+    if j.size == 0:
+        return np.empty((0, len(v)), dtype=v.dtype), np.linalg.matrix_power(e, leg.n_steps) @ v
+    # kept steps run j[0], j[0] + stride, ...; only the pinned final step may break the pattern
+    regular = int(np.count_nonzero((j - j[0]) % stride == 0))
+    first = np.linalg.matrix_power(e, int(j[0])) @ v
+    states = _orbit(np.linalg.matrix_power(e, stride), first, regular)
+    last = states[-1]
+    if regular < j.size:
+        last = np.linalg.matrix_power(e, int(j[-1] - j[regular - 1])) @ last
+        states = np.vstack([states, last])
+    return states, np.linalg.matrix_power(e, leg.n_steps - int(j[-1])) @ last
+
+
+def _mean_part(a, b) -> np.ndarray:
+    """Moments of the coherent state with means ``a``, ``b``: raw minus centered moments."""
+    na, nb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    return np.stack([a, b, na, nb, a * b.conj(), a * a, b * b, a * b], axis=-1)
+
+
+def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np.ndarray:
+    """27x27 real generator of v = [Re z, Im z, x_c] within one leg.
+
+    z = [<a>, <b>, 1, e^{2iwt}, e^{-2iwt}] carries the means, driven by the
+    harmonics of F; x_c is the real state of the centered second moments,
+    which obey the undriven equations (:func:`_field_map` at f = 0) with the
+    n_bar source. Real arithmetic throughout keeps to the BLAS and LAPACK
+    routines the rest of the package already loads.
+    """
+    c0, c_plus, c_minus = drive_harmonics(profile, params.delta_r, params.gamma)
+    w2 = 2.0 * profile.omega_env
+    m = np.zeros((5, 5), dtype=complex)
+    m[0] = -0.5 * params.gamma, -1j * g, -1j * c0, -1j * c_plus, -1j * c_minus
+    m[1, 0] = -1j * g
+    m[3, 3], m[4, 4] = 1j * w2, -1j * w2
+    out = np.zeros((10 + _DIM, 10 + _DIM))
+    out[:10, :10] = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    out[10:, 10:] = _field_map(g, params, 0j).reshape(_DIM, _DIM)
+    return out
+
+
+def propagate(
+    params: ModelParams,
+    profile: DriveProfile,
+    step: float,
+    t_end: float,
+    sample_stride: int = 1,
+    initial: MomentState | None = None,
+    check_invariants: bool = True,
+) -> Trajectory:
+    """Exact solution of the moment equations on the grid of :func:`integrate`.
+
+    Takes no RK4 steps: each leg's generator (:func:`_exact_generator`) is
+    exponentiated once over one step h, and the retained samples are reached
+    through powers of that map. Means and centered second moments are
+    propagated; the raw moments are rebuilt per sample, e.g. <a^dag a> =
+    n_c + |<a>|^2. Sample times, the step precondition and the checks on
+    the result are those of :func:`integrate`.
+
+    Raises
+    ------
+    StepTooLarge, InvariantViolation
+        As :func:`integrate`.
+    """
+    _check_run(params, profile, step, t_end, sample_stride)
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
+    y0 = (initial or MomentState.vacuum()).as_array()
+    yc = y0 - _mean_part(y0[_A], y0[_B])
+    z = np.array([y0[_A], y0[_B], 1.0, 1.0, 1.0])  # the harmonics are 1 at t = 0
+    v = np.concatenate([z.real, z.imag, yc.real, yc.imag, [1.0]])
+    blocks = []
+    for leg in legs:
+        e = expm(_exact_generator(params.g * leg.window, params, profile) * leg.h)
+        states, v = _leg_states(e, v, leg, sample_stride)
+        blocks.append(states)
+
+    vs = np.concatenate(blocks) if blocks else np.empty((0, 10 + _DIM))
+    a, b, xc = vs[:, 0] + 1j * vs[:, 5], vs[:, 1] + 1j * vs[:, 6], vs[:, 10:]
+    # the mean entries of x_c stay zero
+    moments = np.vstack([y0, xc[:, :8] + 1j * xc[:, 8:16] + _mean_part(a, b)])
+    return _trajectory(grid_times(legs), moments, params, profile, step, check_invariants)

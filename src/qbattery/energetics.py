@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import MomentState, Trajectory, integrate, raise_first_failure
+from .dynamics import MomentState, Trajectory, propagate, raise_first_failure
 from .errors import DecompositionMismatch, UnphysicalState
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -151,9 +151,9 @@ def decompose(
         beyond ``tolerance``.
     """
     runs = [
-        integrate(params, profile, step, t_end, sample_stride),
-        integrate(params, DriveProfile.off(), step, t_end, sample_stride),
-        integrate(replace(params, nbar=0.0), profile, step, t_end, sample_stride),
+        propagate(params, profile, step, t_end, sample_stride),
+        propagate(params, DriveProfile.off(), step, t_end, sample_stride),
+        propagate(replace(params, nbar=0.0), profile, step, t_end, sample_stride),
     ]
     total, thermal, coherent = (energy_columns(r.moments, params.omega0, r.times) for r in runs)
     e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns

@@ -3,20 +3,19 @@
 Everything here is a cross-check path, never a performance path. The joint
 density matrix of charger and battery is stored dense (row-major, as a
 4-index tensor rho[m, n, k, l] = <m,n|rho|k,l>) and propagated with the same
-fixed-step fourth-order scheme as the moment engine. Mode operators carry the
-standard sqrt(n) matrix elements with a hard cutoff; note the truncated
-product a a^dag has 0 (not N) in its top diagonal entry, which the
-dissipator terms must respect to stay consistent with truncated-operator
-algebra.
+fixed-step fourth-order scheme, on the same sample grid, as the moment RK4
+integrator. Mode operators carry the standard sqrt(n) matrix elements with a
+hard cutoff; note the truncated product a a^dag has 0 (not N) in its top
+diagonal entry, which the dissipator terms must respect to stay consistent
+with truncated-operator algebra.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cd_control import drive_field
-from .dynamics import MomentState, integration_legs
+from .dynamics import MomentState, grid_times, sample_grid
 from .errors import InvariantViolation, TruncationLeak
 from .model import DriveProfile, ModelParams
 
@@ -162,35 +161,23 @@ def dense_evolve(
         return DenseState(rho=r4.reshape(n_a * n_b, n_a * n_b).copy(), n_a=n_a, n_b=n_b)
 
     guard(rho, 0.0)
-    times = [0.0]
     states = [snapshot(rho)]
-    global_step = 0
-    # split at the coupling switch-off so no stage straddles the jump
-    for t_start, t_stop, window in integration_legs(t_end, params.tau):
-        span = t_stop - t_start
-        if span <= 0:
-            continue
-        n_steps = max(1, math.ceil(span / step - 1e-12))
-        h = span / n_steps
-        g = params.g * window
-        for k in range(n_steps):
-            t = t_start + k * h
+    # legs split at the coupling switch-off so no stage straddles the jump
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
+    for leg in legs:
+        h, g, kept = leg.h, params.g * leg.window, set(leg.kept.tolist())
+        for k in range(leg.n_steps):
+            t = leg.t_start + k * h
             f0, f1, f2 = field(t), field(t + 0.5 * h), field(t + h)
             k1 = action(rho, g, f0)
             k2 = action(rho + (0.5 * h) * k1, g, f1)
             k3 = action(rho + (0.5 * h) * k2, g, f1)
             k4 = action(rho + h * k3, g, f2)
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_now = t_stop if k == n_steps - 1 else t_start + (k + 1) * h
-            guard(rho, t_now)  # leak/trace check runs every step
-            global_step += 1
-            if global_step % sample_stride == 0:
-                times.append(t_now)
+            guard(rho, float(leg.time(k + 1)))  # leak/trace check runs every step
+            if k + 1 in kept:
                 states.append(snapshot(rho))
-    if times[-1] != t_end:
-        times.append(t_end)
-        states.append(snapshot(rho))
-    return DenseTrajectory(times=np.array(times), states=states)
+    return DenseTrajectory(times=grid_times(legs), states=states)
 
 
 def extract_moments(state: DenseState) -> MomentState:

@@ -15,7 +15,7 @@ import pytest
 from qbattery.analytic import validate_against_numerics
 from qbattery.cd_control import HermitianTrajectorySample, cd_hamiltonian_closed, propagate_unitary
 from qbattery.cli import main as cli_main
-from qbattery.dynamics import MomentState, integrate
+from qbattery.dynamics import MomentState, integrate, propagate
 from qbattery.energetics import decompose, ergotropy_b, report_series
 from qbattery.model import DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve, extract_moments
@@ -55,14 +55,14 @@ def test_criterion_01_oracle_equivalence():
         dense = dense_evolve(
             params, profile, cutoffs=(14, 14), step=0.01, t_end=20.0, sample_stride=200
         )
-        traj = integrate(params, profile, 0.005, 20.0, sample_stride=400)
-        assert np.allclose(dense.times, traj.times)
-        dev = max(
-            float(np.max(np.abs(extract_moments(dense.states[i]).as_array() - traj.moments[i])))
-            for i in range(len(dense.times))
-        )
-        assert dev < tol, f"{label}: moment deviation {dev:.3e} exceeds {tol}"
-        worst_overall = max(worst_overall, dev)
+        m_dense = np.array([extract_moments(s).as_array() for s in dense.states])
+        # the RK4 cross-check and the CLI's exact engine against the same dense run
+        for engine in (integrate, propagate):
+            traj = engine(params, profile, 0.005, 20.0, sample_stride=400)
+            assert np.allclose(dense.times, traj.times)
+            dev = float(np.max(np.abs(m_dense - traj.moments)))
+            assert dev < tol, f"{label} ({engine.__name__}): moment deviation {dev:.3e} exceeds {tol}"
+            worst_overall = max(worst_overall, dev)
     elapsed = time.monotonic() - t_start
     assert elapsed < 300.0, f"oracle equivalence took {elapsed:.0f}s, budget is 5 min"
     print(

@@ -117,6 +117,15 @@ class TestValidation:
         devs = [f.max_dev_alpha for f in report.fits]
         assert devs == sorted(devs)
 
+    def test_slow_envelope_underdamped_stays_physical(self):
+        # RK4 drifted the raw <a^dag a> to -2.9e-10 at t = 6.9 here, below the
+        # physicality tolerance; the exact centered block stays zero at T = 0
+        p = ModelParams.build(g=0.23252805562981113, gamma=0.05, nbar=0.0, kappa=1.0, tau=15.0)
+        prof = DriveProfile.cd_sin_sq(0.1663758466967652, 0.5678772110862784)
+        report = validate_against_numerics(p, prof, t_end=15.0, sample_stride=5)
+        assert report.status == "VERIFIED"
+        assert report.best == "p"
+
     def test_requires_zero_temperature(self):
         with pytest.raises(ValueError):
             validate_against_numerics(params(nbar=0.5), DriveProfile.cd_sin_sq(0.1, 0.5))

@@ -9,6 +9,7 @@ from qbattery.cd_control import (
     cd_from_eigensystem,
     cd_hamiltonian_closed,
     drive_field,
+    drive_harmonics,
     eigensystem_trajectory,
     propagate_unitary,
     steady_displacement,
@@ -93,6 +94,24 @@ class TestCdField:
             scalars = [drive_field(float(t), prof, delta_r, gamma) for t in ts]
             assert field.shape == ts.shape
             assert np.array_equal(field, np.array(scalars))
+
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            DriveProfile.off(),
+            DriveProfile.static(0.3),
+            DriveProfile.sin_sq(0.3, 0.7),
+            DriveProfile.cd_sin_sq(0.3, 0.7),
+        ],
+        ids=lambda d: d.kind.value,
+    )
+    def test_harmonics_rebuild_the_field(self, prof):
+        ts = np.linspace(0.0, 37.0, 1001)
+        for delta_r, gamma in ((0.4, 0.3), (0.0, 1.0), (-3.0, 0.0)):
+            c0, c_plus, c_minus = drive_harmonics(prof, delta_r, gamma)
+            phase = np.exp(2j * prof.omega_env * ts)
+            rebuilt = c0 + c_plus * phase + c_minus / phase
+            assert np.max(np.abs(rebuilt - drive_field(ts, prof, delta_r, gamma))) <= 1e-14
 
 
 class TestSteadyDisplacement:

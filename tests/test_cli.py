@@ -117,6 +117,7 @@ class TestSimulate:
         out = run_simulate(cfg)
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert manifest["engine"] == "exact" and "engine" not in manifest["config"]
         # the echoed config alone must reproduce the run byte for byte
         echo = manifest["config"]
         echo["output"]["path"] = str(tmp_path / "rerun.csv")
@@ -152,6 +153,8 @@ class TestSweep:
         manifest_path, ok = run_sweep(cfg)
         assert ok
         manifest = json.loads(manifest_path.read_text())
+        assert manifest["engine"] == "exact"
+        assert parse_config(manifest["config"]) == cfg
         assert [r["value"] for r in manifest["runs"]] == [0.5, 1.0, 10.0]
         for r in manifest["runs"]:
             assert (tmp_path / r["path"]).exists()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +10,14 @@ import pytest
 from qbattery.dynamics import (
     BLOCK_STEPS,
     MomentState,
+    expm,
+    grid_times,
     integrate,
     integration_legs,
     max_step,
     moment_rhs,
+    propagate,
+    sample_grid,
 )
 from qbattery.errors import InvariantViolation, StepTooLarge
 from qbattery.model import DriveProfile, ModelParams
@@ -272,3 +279,144 @@ class TestMomentStateValidate:
     def test_rejects_non_finite(self, state):
         with pytest.raises(InvariantViolation, match="non-finite"):
             state.validate()
+
+
+def reference_times(step, t_end, tau, stride):
+    """Sample times as integrate's step-by-step loop produced them before the shared grid."""
+    times, done = [0.0], 0
+    for t0, t1, _ in integration_legs(t_end, tau):
+        if t1 <= t0:
+            continue
+        n = max(1, math.ceil((t1 - t0) / step - 1e-12))
+        h = (t1 - t0) / n
+        for k in range(n):
+            done += 1
+            if done % stride == 0:
+                times.append(t1 if k == n - 1 else t0 + (k + 1) * h)
+    if times[-1] != t_end:
+        times.append(t_end)
+    return np.array(times)
+
+
+GRID_CASES = {
+    "one_leg": (0.01, 3.0, 100.0),
+    "two_legs": (0.01, 3.0, 2.0),
+    "uneven_step": (0.013, 3.1, 2.0),
+    "phase_crosses_tau": (0.01, 2.0, 1.03),  # 103 steps before tau
+}
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_times_match_step_loop(self, case, stride):
+        step, t_end, tau = GRID_CASES[case]
+        want = reference_times(step, t_end, tau, stride)
+        assert np.array_equal(grid_times(sample_grid(step, t_end, tau, stride)), want)
+        p = params(g=0.2, gamma=0.3, tau=tau)
+        for engine in (integrate, propagate):
+            assert np.array_equal(engine(p, DriveProfile.off(), step, t_end, stride).times, want)
+
+    def test_stride_phase_carries_across_legs(self):
+        first, second = sample_grid(0.01, 2.0, 1.03, 10)
+        assert (first.n_steps, second.n_steps) == (103, 97)
+        assert first.kept[-1] == 100 and second.kept[0] == 7
+        assert second.kept[-1] == second.n_steps  # the final step is always kept
+
+    def test_empty_run_keeps_only_the_start(self):
+        assert sample_grid(0.01, 0.0, 1.0, 3) == []
+        traj = propagate(params(tau=1.0), DriveProfile.off(), 0.01, 0.0)
+        assert traj.times.tolist() == [0.0] and len(traj.moments) == 1
+
+
+class TestExpm:
+    @pytest.mark.parametrize("t", [0.01, 1.0, 7.5, 40.0])
+    def test_jordan_block_closed_form(self, t):
+        lam = -0.3 + 0.7j
+        want = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        got = expm(np.array([[lam, 1.0], [0.0, lam]]) * t)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.4, 3.0, 50.0])
+    def test_rotation_generator(self, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        got = expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        assert np.max(np.abs(got - np.array([[c, -s], [s, c]]))) <= 1e-13
+        assert got.dtype == np.float64
+
+    def test_zero_matrix_is_identity(self):
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, qbattery.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds qbattery as this run does
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def squeezed_displaced(alpha, beta):
+    """A physical non-vacuum start: coherent means over centered thermal and anomalous moments."""
+    centered = MomentState(na=0.3, nb=0.2, ab_dag=0.05 + 0.02j, a_sq=0.1 - 0.05j, b_sq=0.03j, ab=0.02 + 0j)
+    return MomentState.from_array(centered.as_array() + coherent_pair(alpha, beta).as_array())
+
+
+STARTS = {"vacuum": None, "injected": squeezed_displaced(0.4 - 0.2j, 0.1j)}
+
+
+def assert_engines_agree(p, prof, step, t_end, stride, initial=None):
+    rk4 = integrate(p, prof, step, t_end, stride, initial=initial)
+    exact = propagate(p, prof, step, t_end, stride, initial=initial)
+    assert np.array_equal(exact.times, rk4.times)
+    scale = max(1.0, float(np.max(np.abs(rk4.moments))))
+    assert np.max(np.abs(exact.moments - rk4.moments)) <= 1e-9 * scale
+    return exact
+
+
+class TestExactPropagator:
+    """propagate against the RK4 integrate on the same grid."""
+
+    @pytest.mark.parametrize("prof", DRIVES, ids=lambda d: d.kind.value)
+    @pytest.mark.parametrize("nbar", [0.0, 0.3])
+    @pytest.mark.parametrize("tau", [100.0, 2.3], ids=["one_leg", "two_legs"])
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_matches_rk4(self, prof, nbar, tau, stride):
+        p = params(g=0.2, gamma=0.3, nbar=nbar, delta_r=0.4, tau=tau)
+        for start in STARTS.values():
+            assert_engines_agree(p, prof, 0.01, 4.0, stride, initial=start)
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_critical_damping(self, start):
+        # gamma = 4g makes the 2x2 mean block defective
+        p = params(g=0.25, gamma=1.0, nbar=0.3, delta_r=0.2, tau=3.0)
+        assert_engines_agree(p, DriveProfile.cd_sin_sq(0.3, 0.5), 0.005, 5.0, 10, initial=STARTS[start])
+
+    def test_leg_without_kept_steps(self):
+        # the stride keeps no step of the first leg, only the final one
+        p = params(g=0.2, gamma=0.3, nbar=0.3, delta_r=0.4, tau=1.0)
+        exact = assert_engines_agree(p, DRIVES[3], 0.01, 3.0, 10**9, initial=STARTS["injected"])
+        assert exact.times.tolist() == [0.0, 3.0]
+
+    def test_first_row_is_the_initial_state(self):
+        start = STARTS["injected"]
+        p = params(g=0.2, gamma=0.3, tau=1.0)
+        traj = propagate(p, DriveProfile.static(0.2), 0.01, 2.0, 5, initial=start)
+        assert np.array_equal(traj.moments[0], start.as_array())
+
+    def test_zero_temperature_stays_coherent(self):
+        # the centered block of a T = 0 run from the vacuum stays exactly zero
+        p = params(g=0.2, gamma=0.05, tau=15.0)
+        traj = propagate(p, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 15.0, 5)
+        a, b = traj.moments[:, 0], traj.moments[:, 1]
+        assert np.array_equal(traj.moments[:, 2].real, a.real**2 + a.imag**2)
+        assert np.array_equal(traj.moments[:, 5], a * a)
+        assert np.array_equal(traj.moments[:, 4], a * b.conj())
+
+    def test_step_cap_enforced(self):
+        with pytest.raises(StepTooLarge):
+            propagate(params(), DriveProfile.sin_sq(0.1, 4.0), 0.02, 1.0)
+
+    def test_invariant_check_rejects_corrupt_initial(self):
+        bad = MomentState(a_mean=1.0 + 0j, na=0.1)  # occupation below |<a>|^2
+        with pytest.raises(InvariantViolation, match="sample 0 at t=0"):
+            propagate(params(), DriveProfile.off(), 0.01, 0.5, initial=bad)
