@@ -36,17 +36,13 @@ from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams, coupling_window
 
 __all__ = [
-    "Leg",
     "MomentState",
     "Trajectory",
     "default_step",
-    "expm",
-    "grid_times",
     "integrate",
     "max_step",
     "moment_rhs",
     "propagate",
-    "sample_grid",
 ]
 
 #: absolute tolerance for physicality checks on stored samples
@@ -133,8 +129,10 @@ class MomentState:
         _check_physical(self.as_array()[None, :], tol)
 
 
-def _rhs(y: np.ndarray, s, g: float, f: complex, params: ModelParams) -> np.ndarray:
+def _rhs(y: np.ndarray, s, g: float, f, params: ModelParams) -> np.ndarray:
     """Moment derivatives of the rows ``y[..., :8]``, with the sources scaled by ``s``.
+
+    ``f`` is a complex field, or an array of fields that broadcasts against the rows.
 
     ``s = 1`` gives the equations of motion. Every term is real-linear in
     (Re y, Im y, s) and, separately, in f.
@@ -155,24 +153,21 @@ def _rhs(y: np.ndarray, s, g: float, f: complex, params: ModelParams) -> np.ndar
     return dy
 
 
-def _field_map(g: float, params: ModelParams, f: complex) -> np.ndarray:
-    """Flattened 17x17 map A of dx/dt = A x at the constant field ``f``.
-
-    Column k is :func:`_rhs` at the k-th unit vector of x.
-    """
-    unit = np.eye(_DIM)
-    dy = _rhs(unit[:, :8] + 1j * unit[:, 8:16], unit[:, 16], g, f, params)
-    return np.vstack([dy.real.T, dy.imag.T, np.zeros(_DIM)]).ravel()
-
-
 def _generator(g: float, params: ModelParams) -> np.ndarray:
     """Flattened rows (A_g, A_re, A_im) of dx/dt = (A_g + Re f A_re + Im f A_im) x.
 
-    No entry of :func:`_field_map` mixes f and f-free terms, so the
-    differences are exact.
+    Column k of the map A at a constant field f is :func:`_rhs` at the k-th
+    unit vector of x; the maps at f = 0, 1 and i come from one call. No term
+    of :func:`_rhs` mixes f and f-free parts, so the differences are exact.
     """
-    a_g = _field_map(g, params, 0j)
-    return np.stack([a_g, _field_map(g, params, 1.0 + 0j) - a_g, _field_map(g, params, 1j) - a_g])
+    unit = np.eye(_DIM)
+    y = np.broadcast_to(unit[:, :8] + 1j * unit[:, 8:16], (3, _DIM, 8))
+    dy = _rhs(y, unit[:, 16], g, np.array([0.0, 1.0, 1j])[:, None], params)
+    maps = np.zeros((3, _DIM, _DIM))
+    maps[:, :8] = dy.real.transpose(0, 2, 1)
+    maps[:, 8:16] = dy.imag.transpose(0, 2, 1)
+    maps[1:] -= maps[0]
+    return maps.reshape(3, -1)
 
 
 def moment_rhs(
@@ -286,11 +281,9 @@ def _check_run(params: ModelParams, profile: DriveProfile, step: float, t_end: f
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
 
 
-def _trajectory(times, moments, params, profile, step, check_invariants) -> Trajectory:
-    traj = Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
-    if check_invariants:
-        _check_physical(traj.moments, PHYSICALITY_TOL, traj.times)
-    return traj
+def _trajectory(times, moments, params, profile, step) -> Trajectory:
+    _check_physical(moments, PHYSICALITY_TOL, times)
+    return Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
 
 
 def integrate(
@@ -300,7 +293,6 @@ def integrate(
     t_end: float,
     sample_stride: int = 1,
     initial: MomentState | None = None,
-    check_invariants: bool = True,
 ) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta integration of the moment equations.
 
@@ -345,7 +337,7 @@ def integrate(
 
     xs = np.array(states)
     moments = xs[:, :8] + 1j * xs[:, 8:16]
-    return _trajectory(grid_times(legs), moments, params, profile, step, check_invariants)
+    return _trajectory(grid_times(legs), moments, params, profile, step)
 
 
 #: coefficients c_k of the [6/6] Pade approximant to exp, sum c_k x^k / sum c_k (-x)^k
@@ -411,19 +403,24 @@ def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np
 
     z = [<a>, <b>, 1, e^{2iwt}, e^{-2iwt}] carries the means, driven by the
     harmonics of F; x_c is the real state of the centered second moments,
-    which obey the undriven equations (:func:`_field_map` at f = 0) with the
-    n_bar source. Real arithmetic throughout keeps to the BLAS and LAPACK
+    which obey the undriven equations with the n_bar source. Every coupling
+    is read off :func:`_generator`, so :func:`_rhs` stays the one definition
+    of the equations. Real arithmetic throughout keeps to the BLAS and LAPACK
     routines the rest of the package already loads.
     """
-    c0, c_plus, c_minus = drive_harmonics(profile, params.delta_r, params.gamma)
+    a_g, a_re, a_im = _generator(g, params).reshape(3, _DIM, _DIM)
+    means, at = [_A, _B, 8 + _A, 8 + _B], [0, 1, 5, 6]  # Re <a>, Re <b>, Im <a>, Im <b> in x and in v
+    # F = sum_k c_k h_k over the harmonics h = [1, e^{2iwt}, e^{-2iwt}]
+    c = np.array(drive_harmonics(profile, params.delta_r, params.gamma))
+    r_re, r_im = a_re[means, -1], a_im[means, -1]  # responses to Re F = 1 and to Im F = 1
     w2 = 2.0 * profile.omega_env
-    m = np.zeros((5, 5), dtype=complex)
-    m[0] = -0.5 * params.gamma, -1j * g, -1j * c0, -1j * c_plus, -1j * c_minus
-    m[1, 0] = -1j * g
-    m[3, 3], m[4, 4] = 1j * w2, -1j * w2
     out = np.zeros((10 + _DIM, 10 + _DIM))
-    out[:10, :10] = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    out[10:, 10:] = _field_map(g, params, 0j).reshape(_DIM, _DIM)
+    out[np.ix_(at, at)] = a_g[np.ix_(means, means)]
+    out[np.ix_(at, [2, 3, 4])] = np.outer(r_re, c.real) + np.outer(r_im, c.imag)
+    out[np.ix_(at, [7, 8, 9])] = np.outer(r_im, c.real) - np.outer(r_re, c.imag)
+    out[3, 8], out[8, 3] = -w2, w2  # d/dt e^{2iwt} = 2iw e^{2iwt}
+    out[4, 9], out[9, 4] = w2, -w2
+    out[10:, 10:] = a_g
     return out
 
 
@@ -434,7 +431,6 @@ def propagate(
     t_end: float,
     sample_stride: int = 1,
     initial: MomentState | None = None,
-    check_invariants: bool = True,
 ) -> Trajectory:
     """Exact solution of the moment equations on the grid of :func:`integrate`.
 
@@ -466,4 +462,4 @@ def propagate(
     a, b, xc = vs[:, 0] + 1j * vs[:, 5], vs[:, 1] + 1j * vs[:, 6], vs[:, 10:]
     # the mean entries of x_c stay zero
     moments = np.vstack([y0, xc[:, :8] + 1j * xc[:, 8:16] + _mean_part(a, b)])
-    return _trajectory(grid_times(legs), moments, params, profile, step, check_invariants)
+    return _trajectory(grid_times(legs), moments, params, profile, step)
