@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,8 +76,10 @@ class RunConfig:
     sweep_values: tuple
     out_path: str | None
     out_format: str
+    auto_step: bool = False  # step came from dynamics.default_step, not from the config
 
     def to_dict(self) -> dict:
+        """The configuration as given; a defaulted step is left out, so the echo re-resolves it."""
         d = {
             "model": {
                 "omega0": self.params.omega0,
@@ -98,6 +101,8 @@ class RunConfig:
             },
             "output": {"path": self.out_path, "format": self.out_format},
         }
+        if self.auto_step:
+            del d["numerics"]["step"]
         if self.sweep_parameter is not None:
             d["sweep"] = {"parameter": self.sweep_parameter, "values": list(self.sweep_values)}
         return d
@@ -168,6 +173,7 @@ def parse_config(doc: dict) -> RunConfig:
     if kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
         raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
 
+    auto_step = "step" not in num
     step = _number(num, "step", "numerics", default_step(params, profile))
     if step <= 0:
         raise ConfigError(f"numerics.step must be > 0, got {step}")
@@ -207,6 +213,7 @@ def parse_config(doc: dict) -> RunConfig:
         sweep_values=sweep_values,
         out_path=out_path,
         out_format=out_format,
+        auto_step=auto_step,
     )
 
 
@@ -312,8 +319,10 @@ def _apply_sweep_value(config: RunConfig, value: float) -> RunConfig:
         d = dataclasses.replace(d, f0=value)
     elif name == "omega_env":
         d = dataclasses.replace(d, omega_env=value)
+    # a defaulted step is resolved per point and pinned, so each point's echo carries it
+    step = default_step(p, d) if config.auto_step else config.step
     return dataclasses.replace(
-        config, params=p, profile=d, sweep_parameter=None, sweep_values=()
+        config, params=p, profile=d, step=step, auto_step=False, sweep_parameter=None, sweep_values=()
     )
 
 
@@ -415,6 +424,7 @@ def _selftest_oracle_check() -> list:
     ]
     out = []
     for name, params, profile in points:
+        start = time.perf_counter()
         dense = oracle.dense_evolve(
             params, profile, cutoffs=(12, 12), step=0.01, t_end=4.0, sample_stride=100
         )
@@ -424,7 +434,10 @@ def _selftest_oracle_check() -> list:
             engine.__name__: float(np.max(np.abs(m_dense - engine(params, profile, 0.004, 4.0, 250).moments)))
             for engine in (integrate, propagate)
         }
-        out.append(close_check(name, max(devs.values()), 1e-6, deviations=devs))
+        out.append(close_check(
+            name, max(devs.values()), 1e-6, deviations=devs, max_leak=dense.max_leak,
+            max_trace_drift=dense.max_trace_drift, seconds=time.perf_counter() - start,
+        ))
     return out
 
 
@@ -489,10 +502,18 @@ def _selftest_analytic_check() -> list:
 def selftest_report() -> dict:
     """Run the cross-validation suite and return a JSON-ready report."""
     checks = []
-    checks += _selftest_oracle_check()
-    checks += _selftest_decomposition_check()
-    checks += _selftest_transitionless_check()
-    checks += _selftest_analytic_check()
+    for run in (
+        _selftest_oracle_check,
+        _selftest_decomposition_check,
+        _selftest_transitionless_check,
+        _selftest_analytic_check,
+    ):
+        start = time.perf_counter()
+        group = run()
+        # checks that read one shared computation each carry its wall time
+        for check in group:
+            check.setdefault("seconds", time.perf_counter() - start)
+        checks += group
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     status = "fail" if failed else "pass"
     return {"schema": "qbattery-selftest-v1", "status": status, "checks": checks}

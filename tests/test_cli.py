@@ -18,6 +18,8 @@ from qbattery.cli import (
 from qbattery.dynamics import default_step
 from qbattery.errors import ConfigError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def base_config(out_path, **overrides):
     doc = {
@@ -83,6 +85,8 @@ class TestConfigParsing:
         doc["drive"]["omega_env"] = omega_env
         cfg = parse_config(doc)
         assert cfg.step == default_step(cfg.params, cfg.profile) == expected
+        assert cfg.auto_step and "step" not in cfg.to_dict()["numerics"]
+        assert parse_config(cfg.to_dict()) == cfg
 
     def test_kappa_resolves_detuning(self, tmp_path):
         doc = base_config(tmp_path / "o.csv")
@@ -185,6 +189,26 @@ class TestSweep:
         assert failed["status"] == "error"
         assert failed["error_type"] == "StepTooLarge"
 
+    def test_default_step_resolved_per_point(self, tmp_path):
+        # the base point's default step 0.01 exceeds the omega_env = 20 point's cap 0.0025
+        doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+        del doc["numerics"]["step"]
+        doc["sweep"] = {"parameter": "omega_env", "values": [0.5, 5.0, 20.0]}
+        doc["output"]["path"] = str(tmp_path / "fig3.csv")
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 0
+        manifest = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
+        assert parse_config(manifest["config"]) == parse_config(doc)
+        for run, step in zip(manifest["runs"], [0.01, 0.005, 0.00125]):
+            assert run["status"] == "ok"
+            point = json.loads((tmp_path / f"{run['path']}.manifest.json").read_text())
+            assert point["config"]["numerics"]["step"] == step
+        # the last point's echo alone reproduces it
+        echo = point["config"]
+        echo["output"]["path"] = str(tmp_path / "rerun.csv")
+        again = run_simulate(parse_config(echo))
+        assert again.read_bytes() == (tmp_path / "fig3_02.csv").read_bytes()
+
 
 class TestCompare:
     def test_zero_drive_reports_null_ratios(self, tmp_path):
@@ -249,3 +273,10 @@ class TestSelftest:
         assert report["status"] == "pass"
         printed = capsys.readouterr().out
         assert "selftest: PASS" in printed
+        # wall times and oracle diagnostics go to the JSON report only
+        assert "seconds" not in printed
+        for check in report["checks"]:
+            assert check["seconds"] > 0.0
+            if check["name"].startswith("moments_vs_oracle"):
+                assert 0.0 < check["max_leak"] < 1e-6
+                assert 0.0 <= check["max_trace_drift"] < 1e-8

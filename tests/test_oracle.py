@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qbattery.dynamics import MomentState, integrate
-from qbattery.errors import TruncationLeak
+from qbattery import oracle
+from qbattery.cd_control import drive_field
+from qbattery.dynamics import MomentState, grid_times, integrate, sample_grid
+from qbattery.errors import InvariantViolation, TruncationLeak
 from qbattery.model import DriveProfile, ModelParams
-from qbattery.oracle import DenseState, dense_evolve, extract_moments, mode_operators
+from qbattery.oracle import DenseState, _LindbladAction, dense_evolve, extract_moments, mode_operators
 
 
 def coherent_vector(alpha, n):
@@ -20,6 +22,110 @@ def coherent_vector(alpha, n):
 def product_state(vec_a, vec_b):
     psi = np.kron(vec_a, vec_b)
     return np.outer(psi, psi.conj())
+
+
+def random_density(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = z @ z.conj().T
+    rho = 0.5 * (rho + rho.conj().T)  # Hermitian to the last bit, as the action assumes
+    return rho / np.trace(rho).real
+
+
+def operator_action(rho, n_a, n_b, g, gamma, nbar, f):
+    """-i[H, rho] + gamma (nbar+1) D[a] rho + gamma nbar D[a^dag] rho from the truncated matrices."""
+    ops = mode_operators(n_a, n_b)
+    a, b, ad, bd = ops["a"], ops["b"], ops["ad"], ops["bd"]
+    hamiltonian = g * (ad @ b + a @ bd) + f * ad + np.conj(f) * a
+
+    def dissipator(x, xd):
+        return x @ rho @ xd - 0.5 * (xd @ x @ rho + rho @ xd @ x)
+
+    return (
+        -1j * (hamiltonian @ rho - rho @ hamiltonian)
+        + gamma * (nbar + 1.0) * dissipator(a, ad)
+        + gamma * nbar * dissipator(ad, a)
+    )
+
+
+class SliceAction:
+    """The 4-index slice-arithmetic action the oracle used before its row-shift form: the reference."""
+
+    def __init__(self, n_a, n_b, gamma, nbar):
+        self.gamma, self.nbar = gamma, nbar
+        w_a = np.sqrt(np.arange(1, n_a))
+        w_b = np.sqrt(np.arange(1, n_b))
+        self._wa = w_a[:, None, None, None]
+        self._wab = w_a[:, None, None, None] * w_b[None, :, None, None]
+        self._waa = w_a[:, None, None, None] * w_a[None, None, :, None]
+        n = np.arange(n_a, dtype=float)
+        aad_diag = np.arange(1, n_a + 1, dtype=float)
+        aad_diag[-1] = 0.0
+        row = -0.5 * gamma * (nbar + 1.0) * n - 0.5 * gamma * nbar * aad_diag
+        self._decay = (row[:, None, None, None] + row[None, None, :, None]) * np.ones((n_a, n_b, n_a, n_b))
+
+    def __call__(self, rho, g, f):
+        h_rho = np.zeros_like(rho)
+        if g:
+            h_rho[:-1, 1:] += g * self._wab * rho[1:, :-1]
+            h_rho[1:, :-1] += g * self._wab * rho[:-1, 1:]
+        if f:
+            h_rho[1:] += f * self._wa * rho[:-1]
+            h_rho[:-1] += f.conjugate() * self._wa * rho[1:]
+        out = -1j * (h_rho - h_rho.conj().transpose(2, 3, 0, 1))
+        out += self._decay * rho
+        out[:-1, :, :-1, :] += (self.gamma * (self.nbar + 1.0)) * self._waa * rho[1:, :, 1:, :]
+        if self.nbar:
+            out[1:, :, 1:, :] += (self.gamma * self.nbar) * self._waa * rho[:-1, :, :-1, :]
+        return out
+
+
+def slice_reference_evolve(params, profile, cutoffs, step, t_end, stride):
+    """Step-by-step RK4 over SliceAction on the shared sample grid, one scalar drive call per stage."""
+    n_a, n_b = cutoffs
+    action = SliceAction(n_a, n_b, params.gamma, params.nbar)
+    rho = np.zeros((n_a, n_b, n_a, n_b), dtype=complex)
+    rho[0, 0, 0, 0] = 1.0
+    states = [rho.reshape(n_a * n_b, -1).copy()]
+    legs = sample_grid(step, t_end, params.tau, stride)
+    for leg in legs:
+        h, g, kept = leg.h, params.g * leg.window, set(leg.kept.tolist())
+        for k in range(leg.n_steps):
+            t = leg.t_start + k * h
+            f0, f1, f2 = (drive_field(x, profile, params.delta_r, params.gamma) for x in (t, t + 0.5 * h, t + h))
+            k1 = action(rho, g, f0)
+            k2 = action(rho + (0.5 * h) * k1, g, f1)
+            k3 = action(rho + (0.5 * h) * k2, g, f1)
+            k4 = action(rho + h * k3, g, f2)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if k + 1 in kept:
+                states.append(rho.reshape(n_a * n_b, -1).copy())
+    return grid_times(legs), states
+
+
+class TestLindbladAction:
+    @pytest.mark.parametrize("cutoffs", [(4, 4), (5, 7), (7, 5), (14, 14)])
+    @pytest.mark.parametrize("g,f", [(0.3, 0.2 - 0.15j), (0.0, 0.2 - 0.15j), (0.3, 0j), (0.0, 0j)])
+    @pytest.mark.parametrize("nbar", [0.0, 0.4])
+    def test_matches_operator_form(self, cutoffs, g, f, nbar):
+        n_a, n_b = cutoffs
+        gamma = 0.7
+        rho = random_density(n_a * n_b, seed=n_a * 100 + n_b)
+        out = np.empty_like(rho)
+        _LindbladAction(n_a, n_b, gamma, nbar)(rho, g, np.complex128(f), out)
+        expected = operator_action(rho, n_a, n_b, g, gamma, nbar, f)
+        assert np.max(np.abs(out - expected)) < 1e-14
+
+    def test_dense_evolve_matches_slice_reference(self):
+        # two legs (tau inside the run), thermal bath, CD drive
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.4, nbar=0.2, delta_r=0.5, tau=0.63)
+        prof = DriveProfile.cd_sin_sq(0.2, 0.5)
+        run = dense_evolve(params, prof, cutoffs=(9, 8), step=0.01, t_end=1.1, sample_stride=20)
+        times, states = slice_reference_evolve(params, prof, (9, 8), 0.01, 1.1, 20)
+        assert np.array_equal(run.times, times)
+        assert len(run.states) == len(states)
+        worst = max(float(np.max(np.abs(s.rho - r))) for s, r in zip(run.states, states))
+        assert worst < 1e-13
 
 
 class TestDenseEvolve:
@@ -50,6 +156,45 @@ class TestDenseEvolve:
         for state in run.states:
             state.validate()
             assert abs(np.trace(state.rho) - 1.0) < 1e-8
+
+    def test_diagnostics_bound_every_kept_state(self):
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.4, nbar=0.1, delta_r=0.5, tau=2.0)
+        run = dense_evolve(params, DriveProfile.cd_sin_sq(0.2, 0.5), cutoffs=(8, 8), step=0.01, t_end=2.0)
+        for state in run.states:
+            pops = np.diagonal(state.rho).real.reshape(8, 8)
+            assert max(pops[-2:].sum(), pops[:, -2:].sum()) <= run.max_leak
+            assert abs(pops.sum() - 1.0) <= run.max_trace_drift
+        assert 0.0 < run.max_leak < oracle.LEAK_TOL
+        assert run.max_trace_drift < oracle.TRACE_TOL
+
+    def test_vacuum_run_reports_no_leak(self):
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.0, nbar=0.0, delta_r=0.0, tau=1.0)
+        run = dense_evolve(params, DriveProfile.off(), cutoffs=(4, 4), step=0.01, t_end=1.0)
+        assert run.max_leak == 0.0
+        assert run.max_trace_drift == 0.0
+
+    @pytest.mark.parametrize(
+        "index,gain,error,message",
+        [
+            (0, 1e-3, InvariantViolation, r"trace drift .* at t=0\.01"),
+            (0, np.nan, InvariantViolation, r"trace drift nan at t=0\.01"),
+            (-1, 1e-3, TruncationLeak, r"at t=0\.01 exceeds"),
+        ],
+    )
+    def test_guard_runs_after_every_step(self, monkeypatch, index, gain, error, message):
+        # a corrupted action (trace gain in the vacuum, a non-finite entry or
+        # top-level gain) must be caught after the first step, not at the next
+        # kept sample
+        real_call = _LindbladAction.__call__
+
+        def corrupted(self, rho, g, f, out):
+            real_call(self, rho, g, f, out)
+            out[index, index] += gain
+
+        monkeypatch.setattr(_LindbladAction, "__call__", corrupted)
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.2, nbar=0.0, delta_r=0.0, tau=1.0)
+        with pytest.raises(error, match=message):
+            dense_evolve(params, DriveProfile.off(), cutoffs=(5, 5), step=0.01, t_end=1.0, sample_stride=50)
 
     def test_truncation_leak_raises(self):
         # strong drive into a tiny box must trip the guard, not silently reflect
