@@ -57,20 +57,20 @@ _A, _B, _NA, _NB, _ABD, _A2, _B2, _AB = range(8)
 _DIM = 17  # real state [Re y, Im y, 1]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
 def _check_physical(m: np.ndarray, tol: float, times: np.ndarray | None = None) -> None:
     """Raise :class:`InvariantViolation` at the first non-finite or unphysical row of ``m``.
 
     The message names the row's sample index and time when ``times`` is given.
     """
     na, nb = m[:, _NA].real, m[:, _NB].real
-    with np.errstate(invalid="ignore"):  # rows with inf or nan fail the first check
-        checks = {
-            "non-finite moment": ~np.isfinite(m).all(axis=1),
-            "negative occupation": (na < -tol) | (nb < -tol),
-            "centered charger occupation negative": na < np.abs(m[:, _A]) ** 2 - tol,
-            "centered battery occupation negative": nb < np.abs(m[:, _B]) ** 2 - tol,
-            "cross moment violates Cauchy-Schwarz": np.abs(m[:, _ABD]) ** 2 > na * (nb + 1.0) + tol,
-        }
+    checks = {
+        "non-finite moment": ~np.isfinite(m).all(axis=1),
+        "negative occupation": (na < -tol) | (nb < -tol),
+        "centered charger occupation negative": na < np.abs(m[:, _A]) ** 2 - tol,
+        "centered battery occupation negative": nb < np.abs(m[:, _B]) ** 2 - tol,
+        "cross moment violates Cauchy-Schwarz": np.abs(m[:, _ABD]) ** 2 > na * (nb + 1.0) + tol,
+    }
     raise_first_failure(checks, times, InvariantViolation, lambda i: f"na={na[i]}, nb={nb[i]}")
 
 
@@ -286,6 +286,7 @@ def _trajectory(times, moments, params, profile, step) -> Trajectory:
     return Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
 def integrate(
     params: ModelParams,
     profile: DriveProfile,
@@ -424,6 +425,7 @@ def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as integrate
 def propagate(
     params: ModelParams,
     profile: DriveProfile,

@@ -28,7 +28,6 @@ __all__ = [
     "energy_columns",
     "ergotropy_b",
     "gaussian_m",
-    "passive_energy_dense",
     "report_series",
 ]
 
@@ -58,6 +57,7 @@ def energy_a(alpha: complex, omega0: float) -> float:
     return omega0 * abs(alpha) ** 2
 
 
+@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
 def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
 
@@ -76,16 +76,15 @@ def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None 
     # kernels chosen per CPU that round differently, and artifact bytes must not
     a, b, nb, b_sq = moments[:, 0], moments[:, 1], moments[:, 3].real, moments[:, 6]
     e_b = omega0 * nb
-    with np.errstate(invalid="ignore", over="ignore"):  # such rows fail the first check
-        centered_n = 1.0 + 2.0 * nb - 2.0 * np.hypot(b.real, b.imag) ** 2
-        centered_sq = np.hypot(b_sq.real - (b.real**2 - b.imag**2), b_sq.imag - 2.0 * b.real * b.imag)
-        m = centered_n**2 - 4.0 * centered_sq**2
-        erg = e_b - omega0 * (np.sqrt(np.maximum(m, 0.0)) - 1.0) / 2.0
-        checks = {
-            "non-finite moment": ~np.isfinite(moments).all(axis=1),
-            "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
-            "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
-        }
+    centered_n = 1.0 + 2.0 * nb - 2.0 * np.hypot(b.real, b.imag) ** 2
+    centered_sq = np.hypot(b_sq.real - (b.real**2 - b.imag**2), b_sq.imag - 2.0 * b.real * b.imag)
+    m = centered_n**2 - 4.0 * centered_sq**2
+    erg = e_b - omega0 * (np.sqrt(np.maximum(m, 0.0)) - 1.0) / 2.0
+    checks = {
+        "non-finite moment": ~np.isfinite(moments).all(axis=1),
+        "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
+        "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
+    }
     raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy={erg[i]}")
     erg = np.where(erg < 0.0, 0.0, erg)
     return e_b, erg, e_b - erg, m, omega0 * np.hypot(a.real, a.imag) ** 2
@@ -174,16 +173,3 @@ def decompose(
         max_energy_residual=e_res,
         max_ergotropy_residual=erg_res,
     )
-
-
-def passive_energy_dense(rho_b: np.ndarray, omega0: float) -> float:
-    """Passive energy of a battery density matrix, by explicit reordering.
-
-    Eigenvalues sorted decreasingly are paired with the increasing Fock
-    ladder; used only to cross-check the Gaussian closed form against the
-    brute-force oracle.
-    """
-    eigs = np.linalg.eigvalsh(0.5 * (rho_b + rho_b.conj().T))
-    populations = np.sort(eigs)[::-1]
-    energies = omega0 * np.arange(len(populations))
-    return float(populations @ energies)

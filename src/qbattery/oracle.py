@@ -40,17 +40,6 @@ class DenseState:
         """Partial trace over the charger, shape (n_b, n_b)."""
         return np.einsum("mnml->nl", self.tensor())
 
-    def validate(self) -> None:
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > 1e-10:
-            raise InvariantViolation(f"Hermiticity deviation {herm:.3e}")
-        eigs = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
-        if eigs[0] < -1e-8:
-            raise InvariantViolation(f"negative eigenvalue {eigs[0]:.3e}")
-
 
 @dataclass
 class DenseTrajectory:

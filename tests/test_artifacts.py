@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qbattery.cli import _ROW_FORMAT, OUTPUT_COLUMNS, write_trajectory
-from qbattery.dynamics import integrate
+from qbattery.cli import OUTPUT_COLUMNS, _csv_body, trajectory_rows, write_trajectory
+from qbattery.dynamics import Trajectory, integrate, propagate
 from qbattery.model import DriveProfile, ModelParams
 
 ECHO = {"note": "echo"}
@@ -29,11 +32,15 @@ def reference_rows(traj):
     return rows
 
 
+def reference_csv(rows):
+    """The per-value writer: format(v, ".16e") of each value, ',' between, LF after each row."""
+    return "".join(",".join(format(v, ".16e") for v in r) + "\n" for r in rows)
+
+
 def reference_text(traj, fmt):
     rows = reference_rows(traj)
     if fmt == "csv":
-        lines = [",".join(OUTPUT_COLUMNS)] + [",".join(format(v, ".16e") for v in r) for r in rows]
-        return "\n".join(lines) + "\n"
+        return ",".join(OUTPUT_COLUMNS) + "\n" + reference_csv(rows)
     doc = {
         "schema": "qbattery-data-v1",
         "config": ECHO,
@@ -83,6 +90,47 @@ def test_row_format_matches_per_value_format():
     doubles = bits.view(np.float64)
     doubles = doubles[np.isfinite(doubles).all(axis=1)]
     rows = [edge + edge + edge[:6]] + doubles.tolist()
+    assert _csv_body(np.array(rows)).decode() == reference_csv(rows)
     for row in rows:
-        assert _ROW_FORMAT % tuple(row) == ",".join(format(v, ".16e") for v in row)
         assert [float(format(v, ".16e")) for v in row] == row
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(arrays(np.uint64, st.tuples(st.integers(1, 8), st.just(len(OUTPUT_COLUMNS))), elements=_FINITE_BITS))
+def test_csv_body_matches_per_value_writer_on_raw_bits(bits):
+    rows = bits.view(np.float64)
+    assert _csv_body(rows).decode() == reference_csv(rows.tolist())
+
+
+def as_rows(values):
+    """``values`` then their negatives, cycled to fill whole (n, 22) rows."""
+    values = np.concatenate([values, -values])
+    n_cols = len(OUTPUT_COLUMNS)
+    return np.resize(values, (-(-len(values) // n_cols), n_cols))
+
+
+def test_csv_body_matches_per_value_writer_on_edges():
+    tiny, normal, huge = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    neighbours = [np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    # n + 0.25 and n + 0.75 are exact doubles here, and exact ties at 17 digits
+    n = np.linspace(1e15, 2.0**51 - 1.0, 997).round()
+    ties = [n + 0.25, n + 0.75]  # n runs from 1e15 to 2^51 - 1, both ends included
+    values = np.concatenate([[0.0, tiny, normal, huge, 1e-6], powers, *neighbours, *ties])
+    rows = as_rows(values)
+    assert np.signbit(rows[rows == 0.0]).any()  # -0.0 is in the set
+    assert _csv_body(rows).decode() == reference_csv(rows.tolist())
+
+
+def test_multi_chunk_and_empty_trajectories(tmp_path):
+    params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.0, delta_r=0.0, tau=20.0)
+    traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 20.0, sample_stride=1)
+    empty = Trajectory(times=traj.times[:0], moments=traj.moments[:0], params=params, profile=traj.profile, step=0.01)
+    header = ",".join(OUTPUT_COLUMNS) + "\n"
+    for name, t, n_rows in (("long", traj, 2001), ("empty", empty, 0)):
+        path = tmp_path / f"{name}.csv"
+        assert write_trajectory(path, t, "csv", ECHO) == len(t) == n_rows
+        assert path.read_text() == header + reference_csv(trajectory_rows(t).tolist())

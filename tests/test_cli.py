@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +191,22 @@ class TestSweep:
         assert ok["status"] == "ok" and "error_type" not in ok
         assert failed["status"] == "error"
         assert failed["error_type"] == "StepTooLarge"
+
+    def test_overflow_reported_only_as_typed_error(self, tmp_path):
+        # F0 = 1e300 overflows the squared means; the point's InvariantViolation
+        # is the only report, with no numpy RuntimeWarning on stderr
+        doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+        doc["sweep"] = {"parameter": "F0", "values": [0.2, 1e300]}
+        doc["output"]["path"] = str(tmp_path / "fig3.csv")
+        p = write_config(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds qbattery as this run does
+        cmd = [sys.executable, "-m", "qbattery.cli", "sweep", "--config", str(p)]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert out.returncode == 2
+        ok, failed = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())["runs"]
+        assert ok["status"] == "ok"
+        assert failed["error_type"] == "InvariantViolation"
+        assert "RuntimeWarning" not in out.stderr
 
     def test_default_step_resolved_per_point(self, tmp_path):
         # the base point's default step 0.01 exceeds the omega_env = 20 point's cap 0.0025
