@@ -3,7 +3,8 @@
 Three mutually validating computation paths: closed Gaussian moment
 equations (the workhorse, solved exactly and by RK4), closed-form
 zero-temperature amplitudes (a cross-check), and brute-force truncated-Fock
-density-matrix propagation (the oracle).
+density-matrix propagation (the oracle). The names imported here are the
+package's public interface; ``from qbattery import *`` exports them.
 """
 
 from .analytic import (
@@ -50,53 +51,3 @@ from .model import DriveKind, DriveProfile, ModelParams, bose_occupation, coupli
 from .oracle import DenseState, DenseTrajectory, dense_evolve, extract_moments
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticCoefficients",
-    "CdDriveSample",
-    "ConfigError",
-    "DecompositionMismatch",
-    "DecompositionResult",
-    "DegenerateSpectrum",
-    "DenseState",
-    "DenseTrajectory",
-    "DriveKind",
-    "DriveProfile",
-    "EnergyReport",
-    "GridTooCoarse",
-    "HermitianTrajectorySample",
-    "InvariantViolation",
-    "ModelParams",
-    "MomentState",
-    "QBatteryError",
-    "ResonantEnvelope",
-    "SingularDenominator",
-    "StepTooLarge",
-    "Trajectory",
-    "TruncationLeak",
-    "UnphysicalState",
-    "ValidationReport",
-    "alpha_analytic",
-    "beta_analytic",
-    "bose_occupation",
-    "cd_field",
-    "cd_hamiltonian_closed",
-    "coefficients",
-    "coupling_window",
-    "decompose",
-    "dense_evolve",
-    "drive_field",
-    "energy_a",
-    "energy_b",
-    "envelope",
-    "ergotropy_b",
-    "extract_moments",
-    "gaussian_m",
-    "integrate",
-    "max_step",
-    "moment_rhs",
-    "propagate",
-    "propagate_unitary",
-    "steady_displacement",
-    "validate_against_numerics",
-]

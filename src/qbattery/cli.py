@@ -589,7 +589,9 @@ def selftest_report() -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Open quantum battery charging simulator (dimensionless omega0 units).",
@@ -608,7 +610,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help text or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "selftest":
             report = selftest_report()

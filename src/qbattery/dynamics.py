@@ -25,6 +25,7 @@ column). Two engines solve them on one sample grid (:func:`sample_grid`):
   operations, then applied step by step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,7 +81,7 @@ def raise_first_failure(checks: dict, times, error: type, detail) -> None:
     The message gives the first flagged reason for that row, prefixed with its
     sample index and time when ``times`` is given, and ends with ``detail(i)``.
     """
-    bad = np.flatnonzero(np.any(list(checks.values()), axis=0))
+    bad = np.flatnonzero(functools.reduce(np.logical_or, checks.values()))
     if bad.size:
         i = int(bad[0])
         reason = next(msg for msg, mask in checks.items() if mask[i])
@@ -153,7 +154,7 @@ def _rhs(y: np.ndarray, s, g: float, f, params: ModelParams) -> np.ndarray:
     return dy
 
 
-def _generator(g: float, params: ModelParams) -> np.ndarray:
+def _rhs_maps(g: float, params: ModelParams) -> np.ndarray:
     """Flattened rows (A_g, A_re, A_im) of dx/dt = (A_g + Re f A_re + Im f A_im) x.
 
     Column k of the map A at a constant field f is :func:`_rhs` at the k-th
@@ -168,6 +169,36 @@ def _generator(g: float, params: ModelParams) -> np.ndarray:
     maps[:, 8:16] = dy.imag.transpose(0, 2, 1)
     maps[1:] -= maps[0]
     return maps.reshape(3, -1)
+
+
+@functools.cache
+def _unit_maps(signs: tuple) -> np.ndarray:
+    """Read-only :func:`_rhs_maps` at g, gamma, nbar in {+-0, +-1}, each given as (x != 0, copysign(1, x))."""
+    g, gamma, nbar = (math.copysign(float(nonzero), sign) for nonzero, sign in signs)
+    maps = _rhs_maps(g, ModelParams(omega0=1.0, g=0.0, gamma=gamma, nbar=nbar, delta_r=0.0, tau=1.0))
+    maps.flags.writeable = False
+    return maps
+
+
+@functools.cache
+def _monomial_index() -> np.ndarray:
+    """Per map entry, the index in (g, gamma, gamma nbar, 1) of the one product it is linear in."""
+    on = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 1))  # which of g, gamma, nbar are 1 rather than 0
+    base, g, gamma, nbar = (_unit_maps(tuple((x, 1.0) for x in xs)) for xs in on)
+    return np.select([g != base, gamma != base, nbar != gamma], [0, 1, 2], 3)
+
+
+def _generator(g: float, params: ModelParams) -> np.ndarray:
+    """:func:`_rhs_maps` bit for bit, as the unit maps of the parameters' signs scaled entry by entry.
+
+    Each entry is a power of two times one of g, gamma, gamma nbar or 1, and
+    the sign of each zero follows from the parameters' signs and zeros alone.
+    Exceptions: an infinite gamma nbar, and gamma = 5e-324, where 0.5 gamma
+    rounds to a zero of its own sign.
+    """
+    signs = tuple((x != 0.0, math.copysign(1.0, x)) for x in (g, params.gamma, params.nbar))
+    scale = np.array([abs(g), abs(params.gamma), abs(params.gamma * params.nbar), 1.0])
+    return _unit_maps(signs) * scale[_monomial_index()]
 
 
 def moment_rhs(
@@ -373,7 +404,8 @@ def _orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     out, power = v[None], m
     while len(out) < count:
         out = np.concatenate([out, out @ power.T])  # power = m^len(out)
-        power = power @ power
+        if len(out) < count:
+            power = power @ power
     return out[:count]
 
 
@@ -384,8 +416,9 @@ def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np
         return np.empty((0, len(v)), dtype=v.dtype), np.linalg.matrix_power(e, leg.n_steps) @ v
     # kept steps run j[0], j[0] + stride, ...; only the pinned final step may break the pattern
     regular = int(np.count_nonzero((j - j[0]) % stride == 0))
-    first = np.linalg.matrix_power(e, int(j[0])) @ v
-    states = _orbit(np.linalg.matrix_power(e, stride), first, regular)
+    power = np.linalg.matrix_power(e, stride)
+    first = (power if j[0] == stride else np.linalg.matrix_power(e, int(j[0]))) @ v
+    states = _orbit(power, first, regular)
     last = states[-1]
     if regular < j.size:
         last = np.linalg.matrix_power(e, int(j[-1] - j[regular - 1])) @ last
@@ -399,6 +432,14 @@ def _mean_part(a, b) -> np.ndarray:
     return np.stack([a, b, na, nb, a * b.conj(), a * a, b * b, a * b], axis=-1)
 
 
+# Re <a>, Re <b>, Im <a>, Im <b>: their block in x; in v, their rows with the columns
+# of the means and of the real and imaginary parts of the harmonics
+_X_MEANS = np.ix_([_A, _B, 8 + _A, 8 + _B], [_A, _B, 8 + _A, 8 + _B])
+_V_MEANS, _V_RE_HARMONICS, _V_IM_HARMONICS = (
+    np.ix_([0, 1, 5, 6], cols) for cols in ([0, 1, 5, 6], [2, 3, 4], [7, 8, 9])
+)
+
+
 def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np.ndarray:
     """27x27 real generator of v = [Re z, Im z, x_c] within one leg.
 
@@ -410,15 +451,14 @@ def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np
     routines the rest of the package already loads.
     """
     a_g, a_re, a_im = _generator(g, params).reshape(3, _DIM, _DIM)
-    means, at = [_A, _B, 8 + _A, 8 + _B], [0, 1, 5, 6]  # Re <a>, Re <b>, Im <a>, Im <b> in x and in v
     # F = sum_k c_k h_k over the harmonics h = [1, e^{2iwt}, e^{-2iwt}]
     c = np.array(drive_harmonics(profile, params.delta_r, params.gamma))
-    r_re, r_im = a_re[means, -1], a_im[means, -1]  # responses to Re F = 1 and to Im F = 1
+    r_re, r_im = a_re[_X_MEANS[0], -1], a_im[_X_MEANS[0], -1]  # responses to Re F = 1 and to Im F = 1
     w2 = 2.0 * profile.omega_env
     out = np.zeros((10 + _DIM, 10 + _DIM))
-    out[np.ix_(at, at)] = a_g[np.ix_(means, means)]
-    out[np.ix_(at, [2, 3, 4])] = np.outer(r_re, c.real) + np.outer(r_im, c.imag)
-    out[np.ix_(at, [7, 8, 9])] = np.outer(r_im, c.real) - np.outer(r_re, c.imag)
+    out[_V_MEANS] = a_g[_X_MEANS]
+    out[_V_RE_HARMONICS] = r_re * c.real + r_im * c.imag
+    out[_V_IM_HARMONICS] = r_im * c.real - r_re * c.imag
     out[3, 8], out[8, 3] = -w2, w2  # d/dt e^{2iwt} = 2iw e^{2iwt}
     out[4, 9], out[9, 4] = w2, -w2
     out[10:, 10:] = a_g
@@ -451,7 +491,7 @@ def propagate(
     _check_run(params, profile, step, t_end, sample_stride)
     legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState.vacuum()).as_array()
-    yc = y0 - _mean_part(y0[_A], y0[_B])
+    yc = y0 if initial is None else y0 - _mean_part(y0[_A], y0[_B])  # the vacuum's mean part is +0
     z = np.array([y0[_A], y0[_B], 1.0, 1.0, 1.0])  # the harmonics are 1 at t = 0
     v = np.concatenate([z.real, z.imag, yc.real, yc.imag, [1.0]])
     blocks = []

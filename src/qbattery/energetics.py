@@ -12,6 +12,7 @@ it, so a series and its samples share one formula and one set of checks.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ NEGATIVE_CLAMP = 1e-9
 M_PHYSICALITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Battery energetics of one moment sample, all in units of omega0."""
 
     e_b: float
@@ -96,7 +96,7 @@ def gaussian_m(state: MomentState) -> float:
 
 
 def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:
-    return [EnergyReport(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(map(EnergyReport._make, zip(*(c.tolist() for c in columns))))
 
 
 def ergotropy_b(state: MomentState, omega0: float) -> EnergyReport:

@@ -1,13 +1,16 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the oracle-equivalence criterion dominates the runtime (about two
-minutes of dense density-matrix propagation).
+lines; the oracle-equivalence criterion dominates the runtime (12 dense
+density-matrix runs, on up to two worker processes).
 """
 
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,28 +49,43 @@ def oracle_params(g, gamma, nbar, delta_r, tau=20.0):
     return ModelParams(omega0=1.0, g=g, gamma=gamma, nbar=nbar, delta_r=delta_r, tau=tau)
 
 
+def oracle_deviations(point):
+    """(engine, times match, max moment deviation) of both engines against one dense run."""
+    label, g, gamma, nbar, dr, profile = point
+    params = oracle_params(g, gamma, nbar, dr)
+    dense = dense_evolve(params, profile, cutoffs=(14, 14), step=0.01, t_end=20.0, sample_stride=200)
+    m_dense = np.array([extract_moments(s).as_array() for s in dense.states])
+    # the RK4 cross-check and the CLI's exact engine against the same dense run
+    out = []
+    for engine in (integrate, propagate):
+        traj = engine(params, profile, 0.005, 20.0, sample_stride=400)
+        dev = float(np.max(np.abs(m_dense - traj.moments)))
+        out.append((engine.__name__, bool(np.allclose(dense.times, traj.times)), dev))
+    return out
+
+
 def test_criterion_01_oracle_equivalence():
     tol = 1e-6
     t_start = time.monotonic()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(2, cpus)
+    if workers > 1:
+        # spawned workers inherit conftest's one-thread BLAS setting through the environment
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(oracle_deviations, ORACLE_POINTS))
+    else:
+        results = [oracle_deviations(point) for point in ORACLE_POINTS]
     worst_overall = 0.0
-    for label, g, gamma, nbar, dr, profile in ORACLE_POINTS:
-        params = oracle_params(g, gamma, nbar, dr)
-        dense = dense_evolve(
-            params, profile, cutoffs=(14, 14), step=0.01, t_end=20.0, sample_stride=200
-        )
-        m_dense = np.array([extract_moments(s).as_array() for s in dense.states])
-        # the RK4 cross-check and the CLI's exact engine against the same dense run
-        for engine in (integrate, propagate):
-            traj = engine(params, profile, 0.005, 20.0, sample_stride=400)
-            assert np.allclose(dense.times, traj.times)
-            dev = float(np.max(np.abs(m_dense - traj.moments)))
-            assert dev < tol, f"{label} ({engine.__name__}): moment deviation {dev:.3e} exceeds {tol}"
+    for (label, *_), point_results in zip(ORACLE_POINTS, results):
+        for name, times_match, dev in point_results:
+            assert times_match, f"{label} ({name}): sample times differ from the dense run"
+            assert dev < tol, f"{label} ({name}): moment deviation {dev:.3e} exceeds {tol}"
             worst_overall = max(worst_overall, dev)
     elapsed = time.monotonic() - t_start
     assert elapsed < 300.0, f"oracle equivalence took {elapsed:.0f}s, budget is 5 min"
     print(
         f"CRITERION 01 oracle equivalence: PASS "
-        f"(12 points, worst dev {worst_overall:.2e} < 1e-06, {elapsed:.0f}s)"
+        f"(12 points on {workers} worker(s), worst dev {worst_overall:.2e} < 1e-06, {elapsed:.0f}s)"
     )
 
 

@@ -299,3 +299,54 @@ class TestSelftest:
             if check["name"].startswith("moments_vs_oracle"):
                 assert 0.0 < check["max_leak"] < 1e-6
                 assert 0.0 <= check["max_trace_drift"] < 1e-8
+
+
+class TestEntryPoint:
+    def test_usage_errors_exit_one_and_parser_survives(self, tmp_path, capsys):
+        for argv in (["simulate"], ["bogus"], []):
+            assert main(argv) == 1
+            assert "usage: qbattery" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: qbattery" in capsys.readouterr().out
+        # the parser is built once per process; a usage error leaves it usable
+        p = write_config(tmp_path, base_config(tmp_path / "out.csv"))
+        assert main(["simulate", "--config", str(p)]) == 0
+        assert (tmp_path / "out.csv").exists()
+
+    def test_usage_error_exit_code_of_the_process(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-m", "qbattery.cli", "simulate"], capture_output=True, text=True, env=env)
+        assert out.returncode == 1
+        assert "--config" in out.stderr
+
+    def test_in_process_sequence_matches_fresh_processes(self, tmp_path):
+        # one process running simulate, compare, sweep and simulate writes the
+        # bytes that four fresh processes write
+        runs = [
+            ("simulate", "fig3_underdamped", "fig3.csv", "csv"),
+            ("compare", "compare_underdamped", "compare.json", "json"),
+            ("sweep", "fig2_overdamped_sweep", "fig2.csv", "csv"),
+            ("simulate", "thermal_charging", "thermal.json", "json"),
+        ]
+        out_dir = tmp_path / "out"
+        commands = []
+        for command, name, out_name, fmt in runs:
+            doc = json.loads((CONFIGS / f"{name}.json").read_text())
+            doc["output"] = {"path": str(out_dir / out_name), "format": fmt}
+            commands.append([command, "--config", str(write_config(tmp_path, doc, f"{name}.json"))])
+
+        def artifacts():
+            written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            for p in out_dir.iterdir():
+                p.unlink()
+            return written
+
+        out_dir.mkdir()
+        for argv in commands:
+            assert main(argv) == 0
+        in_process = artifacts()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "qbattery.cli", *argv], check=True, capture_output=True, env=env)
+        assert len(in_process) == 12  # each run and sweep point has its manifest, and so has the sweep
+        assert artifacts() == in_process

@@ -193,7 +193,7 @@ def test_batch_rows_match_single_state_calls(states, omega0):
     columns = np.column_stack(energy_columns(moments, omega0))
     bound = omega0 * (1.0 - math.sqrt(1.0 - 1e-6)) / 2.0
     for state, row in zip(states, columns):
-        single = np.array(dataclasses.astuple(ergotropy_b(state, omega0)))
+        single = np.array(tuple(ergotropy_b(state, omega0)))
         assert single.tobytes() == row.tobytes()
         e_b, erg, _, m, _ = row
         assert m >= 1.0 - 1e-6
