@@ -14,16 +14,13 @@ from .errors import DegenerateSpectrum, GridTooCoarse, SingularDenominator
 from .model import DriveKind, DriveProfile, envelope
 
 __all__ = [
-    "CdDriveSample",
     "HermitianTrajectorySample",
-    "cd_field",
     "cd_from_eigensystem",
     "cd_hamiltonian_closed",
     "drive_field",
     "drive_harmonics",
     "eigensystem_trajectory",
     "propagate_unitary",
-    "steady_displacement",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -39,47 +36,23 @@ def _cd_denominator(delta_r: float, gamma: float) -> complex:
     return den
 
 
-@dataclass(frozen=True)
-class CdDriveSample:
-    """Drive value at one instant, split into bare envelope and correction.
+def drive_field(t, profile: DriveProfile, delta_r: float, gamma: float):
+    """The drive amplitude entering the master equation; ``t`` may be an array.
 
-    ``correction`` is the displaced-frame generator coefficient
-    -i*Fdot/(delta_r - i*gamma/2); ``f_cd = f_bare + correction`` exactly.
-    """
-
-    t: float
-    f_cd: complex
-    f_bare: float
-    correction: complex
-
-
-def cd_field(t, profile: DriveProfile, delta_r: float, gamma: float) -> CdDriveSample:
-    """Counterdiabatically corrected drive field at time ``t``.
-
-    For a CD_SIN_SQ profile returns F(t) - i*Fdot(t)/(delta_r - i*gamma/2)
-    with F(t) = f0*sin^2(omega_env*t) and the derivative taken analytically.
-    For the bare profile kinds the correction is zero by definition. ``t``
-    may be an array.
+    For a CD_SIN_SQ profile this is the counterdiabatically corrected field
+    F(t) - i*Fdot(t)/(delta_r - i*gamma/2), with F(t) = f0*sin^2(omega_env*t)
+    and the derivative taken analytically. The bare kinds return F(t).
 
     Raises
     ------
     SingularDenominator
         If the profile is CD-corrected and delta_r = gamma = 0.
     """
-    f_bare = envelope(t, profile)
     if profile.kind is not DriveKind.CD_SIN_SQ:
-        return CdDriveSample(t=t, f_cd=f_bare + 0j, f_bare=f_bare, correction=0j)
+        return envelope(t, profile) + 0j
     den = _cd_denominator(delta_r, gamma)
     f_dot = profile.f0 * profile.omega_env * np.sin(2.0 * profile.omega_env * t)
-    correction = f_dot * (-1j / den)
-    return CdDriveSample(t=t, f_cd=f_bare + correction, f_bare=f_bare, correction=correction)
-
-
-def drive_field(t, profile: DriveProfile, delta_r: float, gamma: float):
-    """The drive amplitude entering the master equation for any profile kind; ``t`` may be an array."""
-    if profile.kind is DriveKind.CD_SIN_SQ:
-        return cd_field(t, profile, delta_r, gamma).f_cd
-    return envelope(t, profile) + 0j
+    return envelope(t, profile) + f_dot * (-1j / den)
 
 
 def drive_harmonics(profile: DriveProfile, delta_r: float, gamma: float) -> tuple[complex, complex, complex]:
@@ -97,16 +70,6 @@ def drive_harmonics(profile: DriveProfile, delta_r: float, gamma: float) -> tupl
         return c0, c, c
     corr = profile.f0 * profile.omega_env / (2.0 * _cd_denominator(delta_r, gamma))
     return c0, c - corr, c + corr
-
-
-def steady_displacement(t: float, profile: DriveProfile, delta_r: float, gamma: float) -> complex:
-    """Instantaneous steady-state displacement i*F(t)/(delta_r - i*gamma/2).
-
-    This is the displacement-frame amplitude the CD correction keeps the
-    damped mode locked onto.
-    """
-    den = _cd_denominator(delta_r, gamma)
-    return 1j * envelope(t, profile) / den
 
 
 @dataclass(frozen=True)

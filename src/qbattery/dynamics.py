@@ -34,7 +34,7 @@ import numpy as np
 
 from .cd_control import drive_field, drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
-from .model import DriveKind, DriveProfile, ModelParams, coupling_window
+from .model import DriveKind, DriveProfile, ModelParams
 
 __all__ = [
     "MomentState",
@@ -101,10 +101,6 @@ class MomentState:
     a_sq: complex = 0j
     b_sq: complex = 0j
     ab: complex = 0j
-
-    @classmethod
-    def vacuum(cls) -> "MomentState":
-        return cls()
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -206,24 +202,12 @@ def moment_rhs(
 ) -> MomentState:
     """Time derivative of every moment at time ``t``.
 
-    The exchange coupling is gated by the charging window; the drive field is
+    The exchange coupling is on for t in [0, tau] only; the drive field is
     the (possibly counterdiabatically corrected) amplitude for ``profile``.
     """
-    g = params.g * coupling_window(t, params.tau)
+    g = params.g if 0.0 <= t <= params.tau else 0.0
     f = complex(drive_field(t, profile, params.delta_r, params.gamma))
     return MomentState.from_array(_rhs(state.as_array(), 1.0, g, f, params))
-
-
-def integration_legs(t_end: float, tau: float) -> list[tuple[float, float, float]]:
-    """Split [0, t_end] at the coupling switch-off into smooth pieces.
-
-    Returns (t_start, t_stop, window) triples. Stepping each leg separately
-    keeps the integrator at full order; a stage straddling the window jump
-    would otherwise degrade physicality at the invariant-tolerance level.
-    """
-    if tau >= t_end:
-        return [(0.0, t_end, 1.0)]
-    return [(0.0, tau, 1.0), (tau, t_end, 0.0)]
 
 
 class Leg(NamedTuple):
@@ -244,13 +228,17 @@ class Leg(NamedTuple):
 def sample_grid(step: float, t_end: float, tau: float, sample_stride: int) -> list[Leg]:
     """The time grid every engine runs on, leg by leg.
 
-    Each leg of :func:`integration_legs` takes ceil(span/step) equal steps of
-    h = span/n_steps. Every ``sample_stride``-th step of the whole run is
-    kept, counting on across the leg boundary, and so is the final step; with
-    t = 0 these are the sample times.
+    [0, t_end] is split at the coupling switch-off tau into the legs [0, tau]
+    (window 1) and [tau, t_end] (window 0); stepping each separately keeps
+    the integrators at full order, where a stage straddling the window jump
+    would degrade physicality at the invariant-tolerance level. Each leg
+    takes ceil(span/step) equal steps of h = span/n_steps. Every
+    ``sample_stride``-th step of the whole run is kept, counting on across
+    the leg boundary, and so is the final step; with t = 0 these are the
+    sample times.
     """
     legs, done = [], 0
-    for t_start, t_stop, window in integration_legs(t_end, tau):
+    for t_start, t_stop, window in ((0.0, min(tau, t_end), 1.0), (tau, t_end, 0.0)):
         span = t_stop - t_start
         if span <= 0:
             continue
@@ -269,7 +257,7 @@ def grid_times(legs: list[Leg]) -> np.ndarray:
 
 
 def max_step(params: ModelParams, profile: DriveProfile) -> float:
-    """Largest integrator step the accuracy precondition allows."""
+    """Largest RK4 step the accuracy precondition of :func:`integrate` allows."""
     omega_env = profile.omega_env if profile.kind in (DriveKind.SIN_SQ, DriveKind.CD_SIN_SQ) else 0.0
     return 0.05 / max(omega_env, params.g, params.gamma, params.omega0)
 
@@ -300,16 +288,13 @@ class Trajectory:
         return MomentState.from_array(self.moments[i])
 
 
-def _check_run(params: ModelParams, profile: DriveProfile, step: float, t_end: float, sample_stride: int):
+def _check_run(step: float, t_end: float, sample_stride: int):
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    cap = max_step(params, profile)
-    if step > cap * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
 
 
 def _trajectory(times, moments, params, profile, step) -> Trajectory:
@@ -342,9 +327,12 @@ def integrate(
         tolerance (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    _check_run(params, profile, step, t_end, sample_stride)
+    _check_run(step, t_end, sample_stride)
+    cap = max_step(params, profile)
+    if step > cap * (1.0 + 1e-12):
+        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
     legs = sample_grid(step, t_end, params.tau, sample_stride)
-    y0 = (initial or MomentState.vacuum()).as_array()
+    y0 = (initial or MomentState()).as_array()
     x = np.concatenate([y0.real, y0.imag, [1.0]])
     eye = np.eye(_DIM)
     states = [x]
@@ -480,17 +468,17 @@ def propagate(
     exponentiated once over one step h, and the retained samples are reached
     through powers of that map. Means and centered second moments are
     propagated; the raw moments are rebuilt per sample, e.g. <a^dag a> =
-    n_c + |<a>|^2. Sample times, the step precondition and the checks on
-    the result are those of :func:`integrate`.
+    n_c + |<a>|^2. Sample times and the checks on the result are those of
+    :func:`integrate`; being exact, it has no step cap.
 
     Raises
     ------
-    StepTooLarge, InvariantViolation
+    InvariantViolation
         As :func:`integrate`.
     """
-    _check_run(params, profile, step, t_end, sample_stride)
+    _check_run(step, t_end, sample_stride)
     legs = sample_grid(step, t_end, params.tau, sample_stride)
-    y0 = (initial or MomentState.vacuum()).as_array()
+    y0 = (initial or MomentState()).as_array()
     yc = y0 if initial is None else y0 - _mean_part(y0[_A], y0[_B])  # the vacuum's mean part is +0
     z = np.array([y0[_A], y0[_B], 1.0, 1.0, 1.0])  # the harmonics are 1 at t = 0
     v = np.concatenate([z.real, z.imag, yc.real, yc.imag, [1.0]])

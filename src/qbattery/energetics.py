@@ -7,8 +7,8 @@ closed form in the moments: with
 
 the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2). Physical Gaussian
 states have M >= 1. :func:`energy_columns` evaluates this on every row of an
-(n, 8) moment array at once; the single-state functions are one-row calls of
-it, so a series and its samples share one formula and one set of checks.
+(n, 8) moment array at once; :func:`ergotropy_b` is a one-row call of it,
+so a series and its samples share one formula and one set of checks.
 """
 
 from dataclasses import dataclass, replace
@@ -18,17 +18,14 @@ import numpy as np
 
 from .dynamics import MomentState, Trajectory, propagate, raise_first_failure
 from .errors import DecompositionMismatch, UnphysicalState
-from .model import DriveKind, DriveProfile, ModelParams
+from .model import DriveProfile, ModelParams
 
 __all__ = [
     "DecompositionResult",
     "EnergyReport",
     "decompose",
-    "energy_a",
-    "energy_b",
     "energy_columns",
     "ergotropy_b",
-    "gaussian_m",
     "report_series",
 ]
 
@@ -45,16 +42,6 @@ class EnergyReport(NamedTuple):
     passive_b: float
     m_value: float
     e_a: float
-
-
-def energy_b(state: MomentState, omega0: float) -> float:
-    """Mean energy stored in the battery, omega0 * <b'b>."""
-    return omega0 * state.nb
-
-
-def energy_a(alpha: complex, omega0: float) -> float:
-    """Coherent charger energy omega0 * |alpha|^2."""
-    return omega0 * abs(alpha) ** 2
 
 
 @np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
@@ -88,11 +75,6 @@ def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None 
     raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy={erg[i]}")
     erg = np.where(erg < 0.0, 0.0, erg)
     return e_b, erg, e_b - erg, m, omega0 * np.hypot(a.real, a.imag) ** 2
-
-
-def gaussian_m(state: MomentState) -> float:
-    """Gaussian passive-state discriminant M (1 for pure coherent states); raises as ergotropy_b."""
-    return float(energy_columns(state.as_array()[None, :], 1.0)[3][0])
 
 
 def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:

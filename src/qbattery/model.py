@@ -18,7 +18,6 @@ __all__ = [
     "DriveProfile",
     "ModelParams",
     "bose_occupation",
-    "coupling_window",
     "envelope",
 ]
 
@@ -178,17 +177,6 @@ class ModelParams:
         if delta_r is None:
             delta_r = omega0 * (1.0 - kappa) if kappa is not None else 0.0
         return cls(omega0=omega0, g=g, gamma=gamma, nbar=nbar, delta_r=delta_r, tau=tau)
-
-
-def coupling_window(t: float, tau: float) -> float:
-    """Dimensionless on/off control of the exchange coupling.
-
-    Returns 1.0 for t in [0, tau] and 0.0 otherwise; multiplies g in all
-    dynamics.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    return 1.0 if 0.0 <= t <= tau else 0.0
 
 
 def envelope(t, profile: DriveProfile):

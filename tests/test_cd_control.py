@@ -5,17 +5,15 @@ import pytest
 
 from qbattery.cd_control import (
     HermitianTrajectorySample,
-    cd_field,
     cd_from_eigensystem,
     cd_hamiltonian_closed,
     drive_field,
     drive_harmonics,
     eigensystem_trajectory,
     propagate_unitary,
-    steady_displacement,
 )
 from qbattery.errors import DegenerateSpectrum, GridTooCoarse, SingularDenominator
-from qbattery.model import DriveProfile
+from qbattery.model import DriveProfile, envelope
 
 
 def two_level_sweep(delta, lam0, t_total, n):
@@ -30,45 +28,54 @@ def two_level_sweep(delta, lam0, t_total, n):
     return ts, samples
 
 
+def reference_cd_field(t, f0, w, delta_r, gamma):
+    """F - i Fdot/(delta_r - i gamma/2) for F = f0 sin^2(w t), written out."""
+    f = f0 * math.sin(w * t) ** 2
+    f_dot = 2.0 * f0 * w * math.sin(w * t) * math.cos(w * t)
+    return f - 1j * f_dot / complex(delta_r, -0.5 * gamma)
+
+
 class TestCdField:
     def test_zero_at_start(self):
         prof = DriveProfile.cd_sin_sq(1.0, 0.7)
-        s = cd_field(0.0, prof, delta_r=0.3, gamma=0.2)
-        assert s.f_cd == 0.0
-        assert s.correction == 0.0
+        assert drive_field(0.0, prof, delta_r=0.3, gamma=0.2) == 0.0
 
     def test_bare_at_envelope_peak(self):
         # Fdot vanishes at the peak, so the CD field reduces to F0 there
         prof = DriveProfile.cd_sin_sq(0.8, 1.0)
-        s = cd_field(math.pi / 2.0, prof, delta_r=0.3, gamma=0.2)
-        assert s.f_cd == pytest.approx(0.8, abs=1e-12)
+        assert drive_field(math.pi / 2.0, prof, delta_r=0.3, gamma=0.2) == pytest.approx(0.8, abs=1e-12)
 
     def test_symbolic_substitution_point(self):
         # F = 1/2, Fdot = 1, denominator -i: F_cd = 1/2 - i*1/(-i) = 3/2
         prof = DriveProfile.cd_sin_sq(1.0, 1.0)
-        s = cd_field(math.pi / 4.0, prof, delta_r=0.0, gamma=2.0)
-        assert s.f_cd == pytest.approx(1.5, abs=1e-12)
-        assert s.f_bare == pytest.approx(0.5, abs=1e-12)
-        assert s.f_cd == s.f_bare + s.correction
+        f_cd = drive_field(math.pi / 4.0, prof, delta_r=0.0, gamma=2.0)
+        assert f_cd == pytest.approx(1.5, abs=1e-12)
+        assert f_cd == pytest.approx(reference_cd_field(math.pi / 4.0, 1.0, 1.0, 0.0, 2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("delta_r,gamma", [(0.3, 0.2), (0.0, 1.0), (-3.0, 0.0)])
+    def test_matches_written_out_formula(self, delta_r, gamma):
+        prof = DriveProfile.cd_sin_sq(0.7, 1.3)
+        for t in np.linspace(0.0, 10.0, 101):
+            expected = reference_cd_field(float(t), 0.7, 1.3, delta_r, gamma)
+            assert abs(drive_field(float(t), prof, delta_r, gamma) - expected) <= 1e-14 * max(1.0, abs(expected))
 
     def test_singular_denominator(self):
         prof = DriveProfile.cd_sin_sq(1.0, 1.0)
         with pytest.raises(SingularDenominator):
-            cd_field(0.3, prof, delta_r=0.0, gamma=0.0)
+            drive_field(0.3, prof, delta_r=0.0, gamma=0.0)
 
     def test_correction_vanishes_for_bare_profiles(self):
+        # no correction, so no singular denominator at delta_r = gamma = 0
         prof = DriveProfile.sin_sq(1.0, 1.0)
-        s = cd_field(0.9, prof, delta_r=0.0, gamma=0.0)
-        assert s.correction == 0.0
+        assert drive_field(0.9, prof, delta_r=0.0, gamma=0.0) == envelope(0.9, prof)
 
     def test_large_gamma_correction_bound(self):
-        # |correction| <= 2*F0*omega/gamma at zero detuning
+        # |F_cd - F| <= 2*F0*omega/gamma at zero detuning
         f0, w = 0.5, 1.2
         prof = DriveProfile.cd_sin_sq(f0, w)
+        ts = np.linspace(0, 10, 500)
         for gamma in (10.0, 100.0, 1000.0):
-            worst = max(
-                abs(cd_field(t, prof, 0.0, gamma).correction) for t in np.linspace(0, 10, 500)
-            )
+            worst = np.max(np.abs(drive_field(ts, prof, 0.0, gamma) - envelope(ts, prof)))
             assert worst <= 2.0 * f0 * w / gamma + 1e-15
 
     def test_drive_field_dispatch(self):
@@ -112,20 +119,6 @@ class TestCdField:
             phase = np.exp(2j * prof.omega_env * ts)
             rebuilt = c0 + c_plus * phase + c_minus / phase
             assert np.max(np.abs(rebuilt - drive_field(ts, prof, delta_r, gamma))) <= 1e-14
-
-
-class TestSteadyDisplacement:
-    def test_zero_field(self):
-        prof = DriveProfile.sin_sq(1.0, 1.0)
-        assert steady_displacement(0.0, prof, 1.0, 0.5) == 0.0
-
-    def test_pure_detuning(self):
-        prof = DriveProfile.static(1.0)
-        assert steady_displacement(0.0, prof, 1.0, 0.0) == pytest.approx(1j)
-
-    def test_pure_damping(self):
-        prof = DriveProfile.static(1.0)
-        assert steady_displacement(0.0, prof, 0.0, 2.0) == pytest.approx(-1.0)
 
 
 class TestCdHamiltonianClosed:

@@ -112,12 +112,21 @@ class TestSimulate:
             for name in ("e_b_over_omega0", "ergotropy_b_over_omega0", "e_a_over_omega0"):
                 assert float(vals[cols[name]]) == 0.0
 
-    def test_byte_identical_reruns(self, tmp_path):
-        doc1 = base_config(tmp_path / "a.csv")
-        doc2 = base_config(tmp_path / "b.csv")
-        p1 = run_simulate(parse_config(doc1))
-        p2 = run_simulate(parse_config(doc2))
-        assert p1.read_bytes() == p2.read_bytes()
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch, name):
+        # two runs of a shipped config write the same files, manifests and reports included
+        config = CONFIGS / f"{name}.json"
+        doc = json.loads(config.read_text())
+        command = "sweep" if "sweep" in doc else "compare" if name.startswith("compare") else "simulate"
+        written = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)  # the configs write to relative paths
+            assert main([command, "--config", str(config)]) == 0
+            written.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
+        assert written[0] == written[1]
+        files = {"simulate": 2, "sweep": 1 + 2 * len(doc.get("sweep", {}).get("values", [])), "compare": 1}
+        assert len(written[0]) == files[command]
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = parse_config(base_config(tmp_path / "run.csv"))
@@ -183,14 +192,14 @@ class TestSweep:
 
 
     def test_failed_point_records_error_type(self, tmp_path):
-        # the configured step 0.01 exceeds the cap 0.05/g of the g = 10 point
-        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "g", "values": [0.2, 10.0]})
+        # F0 = 1e300 overflows the squared means of the second point
+        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "F0", "values": [0.2, 1e300]})
         p = write_config(tmp_path, doc)
         assert main(["sweep", "--config", str(p)]) == 2
         ok, failed = json.loads((tmp_path / "sw.csv.manifest.json").read_text())["runs"]
         assert ok["status"] == "ok" and "error_type" not in ok
         assert failed["status"] == "error"
-        assert failed["error_type"] == "StepTooLarge"
+        assert failed["error_type"] == "InvariantViolation"
 
     def test_overflow_reported_only_as_typed_error(self, tmp_path):
         # F0 = 1e300 overflows the squared means; the point's InvariantViolation
@@ -209,7 +218,7 @@ class TestSweep:
         assert "RuntimeWarning" not in out.stderr
 
     def test_default_step_resolved_per_point(self, tmp_path):
-        # the base point's default step 0.01 exceeds the omega_env = 20 point's cap 0.0025
+        # each point resolves default_step from its own omega_env: 0.01, 0.005, 0.00125
         doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
         del doc["numerics"]["step"]
         doc["sweep"] = {"parameter": "omega_env", "values": [0.5, 5.0, 20.0]}

@@ -17,7 +17,6 @@ from qbattery.dynamics import (
     expm,
     grid_times,
     integrate,
-    integration_legs,
     max_step,
     moment_rhs,
     propagate,
@@ -45,11 +44,18 @@ def coherent_pair(alpha, beta):
     )
 
 
+def reference_legs(t_end, tau):
+    """(t_start, t_stop, window) of [0, t_end] split at the coupling switch-off, built apart from sample_grid."""
+    if tau >= t_end:
+        return [(0.0, t_end, 1.0)]
+    return [(0.0, tau, 1.0), (tau, t_end, 0.0)]
+
+
 def textbook_rk4(p, prof, step, t_end, stride=1, initial=None):
     """Classical RK4 over moment_rhs, one vector step at a time: the reference."""
-    y = (initial or MomentState.vacuum()).as_array()
+    y = (initial or MomentState()).as_array()
     times, moments, done = [0.0], [y], 0
-    for t0, t1, window in integration_legs(t_end, p.tau):
+    for t0, t1, window in reference_legs(t_end, p.tau):
         if t1 <= t0:
             continue
         n = max(1, math.ceil((t1 - t0) / step - 1e-12))
@@ -136,7 +142,7 @@ def test_generator_is_rhs_maps_bit_for_bit(g, gamma, nbar, window):
 
 class TestMomentRhs:
     def test_vacuum_stationary_without_drive(self):
-        d = moment_rhs(0.5, MomentState.vacuum(), params(g=0.3, gamma=0.7), DriveProfile.off())
+        d = moment_rhs(0.5, MomentState(), params(g=0.3, gamma=0.7), DriveProfile.off())
         assert d.as_array() == pytest.approx(np.zeros(8))
 
     def test_thermal_relaxation_term(self):
@@ -302,7 +308,7 @@ class TestMomentStateValidate:
 def reference_times(step, t_end, tau, stride):
     """Sample times as integrate's step-by-step loop produced them before the shared grid."""
     times, done = [0.0], 0
-    for t0, t1, _ in integration_legs(t_end, tau):
+    for t0, t1, _ in reference_legs(t_end, tau):
         if t1 <= t0:
             continue
         n = max(1, math.ceil((t1 - t0) / step - 1e-12))
@@ -430,9 +436,18 @@ class TestExactPropagator:
         assert np.array_equal(traj.moments[:, 5], a * a)
         assert np.array_equal(traj.moments[:, 4], a * b.conj())
 
-    def test_step_cap_enforced(self):
+    def test_steps_beyond_the_rk4_cap_stay_exact(self):
+        # fig3's physics at step 0.2, 4x integrate's cap 0.05: the samples of step 0.01, stride 20
+        p = params(g=0.2, gamma=0.05, tau=20.0)
+        prof = DriveProfile.cd_sin_sq(0.2, 0.5)
+        coarse = propagate(p, prof, 0.2, 20.0)
+        fine = propagate(p, prof, 0.01, 20.0, 20)
+        assert np.max(np.abs(coarse.times - fine.times)) <= 1e-12  # j*0.2 and 20j*0.01 round apart
+        scale = np.max(np.abs(fine.moments))
+        assert scale > 10.0
+        assert np.max(np.abs(coarse.moments - fine.moments)) <= 1e-9 * scale
         with pytest.raises(StepTooLarge):
-            propagate(params(), DriveProfile.sin_sq(0.1, 4.0), 0.02, 1.0)
+            integrate(p, prof, 0.2, 20.0)
 
     def test_invariant_check_rejects_corrupt_initial(self):
         bad = MomentState(a_mean=1.0 + 0j, na=0.1)  # occupation below |<a>|^2

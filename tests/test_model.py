@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbattery.errors import ConfigError
-from qbattery.model import DriveKind, DriveProfile, ModelParams, bose_occupation, coupling_window, envelope
+from qbattery.dynamics import MomentState, moment_rhs
+from qbattery.model import DriveKind, DriveProfile, ModelParams, bose_occupation, envelope
 
 
 class TestBoseOccupation:
@@ -30,17 +31,23 @@ class TestBoseOccupation:
             bose_occupation(1.0, -0.1)
 
 
+def coupling_seen(t, tau, g=0.3):
+    """The coupling window moment_rhs applies at ``t``, read off d<b>/dt = -i g window <a> at <a> = 1."""
+    p = ModelParams(omega0=1.0, g=g, gamma=0.0, nbar=0.0, delta_r=0.0, tau=tau)
+    return moment_rhs(t, MomentState(a_mean=1.0 + 0j), p, DriveProfile.off()).b_mean * 1j / g
+
+
 class TestCouplingWindow:
     @pytest.mark.parametrize(
         "t,tau,expected",
         [(-0.1, 1.0, 0.0), (0.5, 1.0, 1.0), (1.1, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)],
     )
     def test_window_values(self, t, tau, expected):
-        assert coupling_window(t, tau) == expected
+        assert coupling_seen(t, tau) == expected
 
     def test_binary_exactly(self):
         for t in np.linspace(-2, 4, 101):
-            assert coupling_window(float(t), 1.7) in (0.0, 1.0)
+            assert coupling_seen(float(t), 1.7) in (0.0, 1.0)
 
 
 class TestEnvelope:

@@ -1,0 +1,34 @@
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import qbattery
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_example_runs(capsys):
+    exec(compile(library_example(), "README.md", "exec"), {})
+    ergotropy, energy, residual = map(float, capsys.readouterr().out.split())
+    assert energy > 0.0
+    assert ergotropy == pytest.approx(energy, rel=1e-9)  # at T = 0 the battery stays coherent
+    assert residual <= 1e-6
+
+
+def test_top_level_names_are_the_readme_ones():
+    # the example imports these, and its comment names integrate as the alternative engine
+    example = library_example()
+    imported = re.search(r"^from qbattery import (.*)$", example, re.M).group(1).split(", ")
+    public = {
+        name for name, value in vars(qbattery).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert "integrate" in example
+    assert public == set(imported) | {"integrate"}
