@@ -288,11 +288,12 @@ class Trajectory:
         return MomentState.from_array(self.moments[i])
 
 
-def _check_run(step: float, t_end: float, sample_stride: int):
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+def check_run(step: float, t_end: float, sample_stride: int):
+    """Reject a grid :func:`sample_grid` cannot build, naming the argument."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
@@ -327,7 +328,7 @@ def integrate(
         tolerance (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    _check_run(step, t_end, sample_stride)
+    check_run(step, t_end, sample_stride)
     cap = max_step(params, profile)
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
@@ -476,7 +477,7 @@ def propagate(
     InvariantViolation
         As :func:`integrate`.
     """
-    _check_run(step, t_end, sample_stride)
+    check_run(step, t_end, sample_stride)
     legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState()).as_array()
     yc = y0 if initial is None else y0 - _mean_part(y0[_A], y0[_B])  # the vacuum's mean part is +0

@@ -49,8 +49,9 @@ def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None 
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
 
     ``moments`` is an (n, 8) array in :class:`Trajectory` order; energies are
-    in units of omega0. A negative ergotropy within the noise floor is
-    clamped to 0.
+    in units of omega0. M within the tolerance below 1 counts as 1, so the
+    ergotropy never exceeds e_b; a negative ergotropy within the noise floor
+    is clamped to 0.
 
     Raises
     ------
@@ -66,7 +67,7 @@ def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None 
     centered_n = 1.0 + 2.0 * nb - 2.0 * np.hypot(b.real, b.imag) ** 2
     centered_sq = np.hypot(b_sq.real - (b.real**2 - b.imag**2), b_sq.imag - 2.0 * b.real * b.imag)
     m = centered_n**2 - 4.0 * centered_sq**2
-    erg = e_b - omega0 * (np.sqrt(np.maximum(m, 0.0)) - 1.0) / 2.0
+    erg = e_b - omega0 * (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0
     checks = {
         "non-finite moment": ~np.isfinite(moments).all(axis=1),
         "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,

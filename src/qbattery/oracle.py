@@ -1,13 +1,13 @@
 """Brute-force validator: full density-matrix propagation in truncated Fock space.
 
 Everything here is a cross-check path, never a performance path. The joint
-density matrix of charger and battery is stored dense, as a (D, D) matrix
-over the row-major joint index r = m n_b + n (D = n_a n_b), and propagated
-with the same fixed-step fourth-order scheme, on the same sample grid, as the
-moment RK4 integrator. Mode operators carry the standard sqrt(n) matrix
-elements with a hard cutoff; note the truncated product a a^dag has 0 (not N)
-in its top diagonal entry, which the dissipator terms must respect to stay
-consistent with truncated-operator algebra.
+density matrix of charger and battery, over the row-major joint index
+r = m n_b + n (D = n_a n_b), is held as the real (D, D) matrix
+Q = Re rho + Im rho, exact for Hermitian rho, and propagated with the same
+fixed-step fourth-order scheme, on the same sample grid, as the moment RK4
+integrator. Mode operators carry the standard sqrt(n) matrix elements with a
+hard cutoff; the truncated product a a^dag has 0 (not N) in its top diagonal
+entry, which the dissipator terms respect, as truncated-operator algebra does.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_control import drive_field
-from .dynamics import MomentState, grid_times, sample_grid
+from .dynamics import MomentState, check_run, grid_times, sample_grid
 from .errors import InvariantViolation, TruncationLeak
 from .model import DriveProfile, ModelParams
 
@@ -61,16 +61,27 @@ def mode_operators(n_a: int, n_b: int) -> dict:
     return {"a": a, "b": b, "ad": a.conj().T, "bd": b.conj().T}
 
 
-class _LindbladAction:
-    """Right-hand side of the truncated master equation on the (D, D) matrix rho.
+def _decode(q: np.ndarray) -> np.ndarray:
+    """The Hermitian rho held by ``q``: Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2."""
+    rho = np.empty(q.shape, dtype=complex)
+    rho.real, rho.imag = 0.5 * (q + q.T), 0.5 * (q - q.T)
+    return rho
 
-    The dissipator's anticommutator folds into H_eff = H - iK with K diagonal,
-    so the action is h + h^dag plus the two jump terms, where h = -i H_eff rho.
-    K and the drive act on the charger index alone, one (n_a, n_a) product on
-    the (n_a, n_b D) view of rho. The coupling shifts rows by n_b - 1, and
-    a rho a^dag and a^dag rho a shift the flattened rho by n_b (D + 1); each
-    is one weighted pass into a preallocated buffer. The result matches
-    truncated-matrix algebra to rounding.
+
+class _LindbladAction:
+    """Right-hand side of the truncated master equation on Q = Re rho + Im rho.
+
+    The dissipator's anticommutator folds into H_eff = H - iK, K diagonal.
+    With -i H_eff = A_r + i A_i, A_r = -K + Im f (a^dag - a) and
+    A_i = -Re f (a^dag + a) - g (a b^dag + a^dag b) real, rho' = -i H_eff rho
+    + h.c. + J(rho) reads
+
+        Q' = U + V^T + J(Q),   U = A_r Q + A_i Q^T,   V = A_r Q^T - A_i Q.
+
+    One real (2 n_a, 2 n_a) product [[A_r, A_i], [-A_i, A_r]] on the
+    (2 n_a, n_b D) view of Q stacked over Q^T forms the charger part of U and
+    V. The coupling is four row shifts by +-(n_b - 1), and the jumps J shift
+    the flattened Q by +-n_b (D + 1).
     """
 
     def __init__(self, n_a: int, n_b: int, gamma: float, nbar: float):
@@ -78,33 +89,34 @@ class _LindbladAction:
         level = np.arange(n_a, dtype=float)
         aad = level + 1.0
         aad[-1] = 0.0  # hard cutoff: top diagonal of truncated a a^dag vanishes
-        self._k = np.diag(-0.5 * gamma * ((nbar + 1.0) * level + nbar * aad)) + 0j  # -K
-        self._up = np.diag(np.sqrt(level[1:]), -1)  # charger a^dag
+        up = np.diag(np.sqrt(level[1:]), -1)  # charger a^dag
+        self._k = np.kron(np.eye(2), np.diag(-0.5 * gamma * ((nbar + 1.0) * level + nbar * aad)))  # -K
+        self._anti, self._sym = np.kron(np.eye(2), up - up.T), np.kron([[0.0, 1.0], [-1.0, 0.0]], up + up.T)
         m, n = np.divmod(np.arange(d), n_b)  # charger and battery level of each row
         # a b^dag into row r from r + n_b - 1, and a^dag b back, share these elements
-        self._w_g = np.sqrt((m + 1.0) * n)[: 1 - n_b]
-        self._shape, self._s, self._shift = (n_a, n_b * d), n_b - 1, n_b * (d + 1)
-        root = np.sqrt(np.outer(m, m)).ravel()[self._shift:] + 0j
+        self._w_g, self._g, self._w = np.sqrt((m + 1.0) * n)[: 1 - n_b, None], None, None
+        self._shape, self._s, self._shift = (2 * n_a, n_b * d), n_b - 1, n_b * (d + 1)
+        root = np.sqrt(np.outer(m, m)).ravel()[self._shift:]
         self._jumps = [(gamma * rate) * root for rate in (nbar + 1.0, nbar) if gamma * rate]
-        self._h, self._tmp = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
+        self._uv, self._tmp = np.empty((2, d, d)), np.empty((d - self._s, d))
 
-    def __call__(self, rho: np.ndarray, g: float, f: complex, out: np.ndarray) -> None:
-        """Write the action on Hermitian, C-contiguous ``rho`` into ``out``."""
-        h, tmp, s, j = self._h, self._tmp, self._s, self._shift
-        m_a = self._k - 1j * (f * self._up + f.conjugate() * self._up.T)
-        np.matmul(m_a, rho.reshape(self._shape), out=h.reshape(self._shape))
+    def __call__(self, q: np.ndarray, g: float, f: complex, out: np.ndarray) -> None:
+        """Write Q' into ``out`` for the (2, D, D) buffer ``q`` holding Q; this fills q[1] with Q^T."""
+        uv, tmp, s, j = self._uv, self._tmp, self._s, self._shift
+        np.copyto(q[1], q[0].T)
+        m_a = self._k + f.imag * self._anti - f.real * self._sym
+        np.matmul(m_a, q.reshape(self._shape), out=uv.reshape(self._shape))
         if g:
-            w = (-1j * g * self._w_g)[:, None]
+            if g != self._g:  # U takes -g C Q^T and V takes g C Q, C = a b^dag + a^dag b
+                self._g, self._w = g, np.repeat(g * self._w_g, q.shape[2], axis=1)
             for dst, src in ((slice(None, -s), slice(s, None)), (slice(s, None), slice(None, -s))):
-                np.multiply(w, rho[src], out=tmp[src])
-                h[dst] += tmp[src]
-        # rho stays Hermitian through every stage, so h^dag = i rho H_eff^dag
-        np.conjugate(h.T, out=out)
-        out += h
-        flat, rho_flat, part = out.reshape(-1), rho.reshape(-1), tmp.reshape(-1)[:-j]
+                uv[0, dst] -= np.multiply(self._w, q[1, src], out=tmp)
+                uv[1, dst] += np.multiply(self._w, q[0, src], out=tmp)
+        np.copyto(out, uv[1].T)  # then add in place: faster than one add with a transposed operand
+        out += uv[0]
+        flat, q_flat, part = out.reshape(-1), q[0].reshape(-1), tmp.reshape(-1)[: out.size - j]
         for w, dst, src in zip(self._jumps, (slice(None, -j), slice(j, None)), (slice(j, None), slice(None, -j))):
-            np.multiply(w, rho_flat[src], out=part)
-            flat[dst] += part
+            flat[dst] += np.multiply(w, q_flat[src], out=part)
 
 
 def dense_evolve(
@@ -128,21 +140,24 @@ def dense_evolve(
         population (results would silently depend on the cutoff).
     InvariantViolation
         If the trace drifts beyond 1e-8, which signals too large a step.
+    ValueError
+        If a cutoff is below 4 or the grid arguments fail ``check_run``.
     """
     n_a, n_b = cutoffs
     if n_a < 4 or n_b < 4:
         raise ValueError(f"cutoffs must be >= 4, got {cutoffs}")
-    if step <= 0 or t_end < 0:
-        raise ValueError("step must be > 0 and t_end >= 0")
+    check_run(step, t_end, sample_stride)
 
+    d = n_a * n_b
     action = _LindbladAction(n_a, n_b, params.gamma, params.nbar)
-    rho = np.zeros((n_a * n_b, n_a * n_b), dtype=complex)
-    rho[0, 0] = 1.0
-    stage, k, acc = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    # pair[0] is Q = Re rho + Im rho; each action call fills pair[1] (stage[1]) with the transpose
+    pair, stage = np.zeros((2, d, d)), np.empty((2, d, d))
+    q, k, acc = pair[0], np.empty((d, d)), np.empty((d, d))
+    q[0, 0] = 1.0
     worst = [0.0, 0.0]  # largest leak and trace drift seen
 
     def guard(t: float) -> None:
-        pops = rho.diagonal().real.reshape(n_a, n_b)
+        pops = q.diagonal().reshape(n_a, n_b)
         leak_a, leak_b = pops[-2:, :].sum(), pops[:, -2:].sum()
         if leak_a > LEAK_TOL or leak_b > LEAK_TOL:
             raise TruncationLeak(
@@ -155,7 +170,7 @@ def dense_evolve(
         worst[:] = max(worst[0], leak_a, leak_b), max(worst[1], drift)
 
     def snapshot() -> DenseState:
-        return DenseState(rho=rho.copy(), n_a=n_a, n_b=n_b)
+        return DenseState(rho=_decode(q), n_a=n_a, n_b=n_b)
 
     guard(0.0)
     states = [snapshot()]
@@ -167,20 +182,20 @@ def dense_evolve(
         f0, f1, f2 = (drive_field(t + c * h, profile, params.delta_r, params.gamma) for c in (0.0, 0.5, 1.0))
         ends = leg.time(np.arange(1, leg.n_steps + 1)).tolist()
         for i in range(leg.n_steps):
-            # classical RK4 in place: acc gathers k1 + 2 k2 + 2 k3 + k4, stage is rho + c k
-            action(rho, g, f0[i], acc)
-            np.multiply(acc, 0.5 * h, out=stage)
-            stage += rho
+            # classical RK4 in place: acc gathers k1 + 2 k2 + 2 k3 + k4, stage[0] is Q + c k
+            action(pair, g, f0[i], acc)
+            np.multiply(acc, 0.5 * h, out=stage[0])
+            stage[0] += q
             for c in (0.5 * h, h):
                 action(stage, g, f1[i], k)
-                np.multiply(k, c, out=stage)
-                stage += rho
+                np.multiply(k, c, out=stage[0])
+                stage[0] += q
                 k *= 2.0
                 acc += k
             action(stage, g, f2[i], k)
             acc += k
             acc *= h / 6.0
-            rho += acc
+            q += acc
             guard(ends[i])  # leak/trace check runs every step
             if i + 1 in kept:
                 states.append(snapshot())

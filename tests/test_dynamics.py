@@ -352,6 +352,20 @@ class TestSampleGrid:
         traj = propagate(params(tau=1.0), DriveProfile.off(), 0.01, 0.0)
         assert traj.times.tolist() == [0.0] and len(traj.moments) == 1
 
+    @pytest.mark.parametrize(
+        "step,t_end,stride,message",
+        [
+            (math.nan, 1.0, 1, r"step must be finite and > 0, got nan"),
+            (math.inf, 1.0, 1, r"step must be finite and > 0, got inf"),
+            (0.01, math.inf, 1, r"t_end must be finite and >= 0, got inf"),
+            (0.01, 1.0, 0, r"sample_stride must be >= 1, got 0"),
+        ],
+    )
+    def test_engines_name_a_grid_they_cannot_build(self, step, t_end, stride, message):
+        for engine in (integrate, propagate):
+            with pytest.raises(ValueError, match=message):
+                engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), step, t_end, stride)
+
 
 class TestExpm:
     @pytest.mark.parametrize("t", [0.01, 1.0, 7.5, 40.0])

@@ -8,7 +8,14 @@ from qbattery.cd_control import drive_field
 from qbattery.dynamics import MomentState, grid_times, integrate, sample_grid
 from qbattery.errors import InvariantViolation, TruncationLeak
 from qbattery.model import DriveProfile, ModelParams
-from qbattery.oracle import DenseState, _LindbladAction, dense_evolve, extract_moments, mode_operators
+from qbattery.oracle import (
+    DenseState,
+    _decode,
+    _LindbladAction,
+    dense_evolve,
+    extract_moments,
+    mode_operators,
+)
 
 
 def coherent_vector(alpha, n):
@@ -30,6 +37,11 @@ def random_density(d, seed):
     rho = z @ z.conj().T
     rho = 0.5 * (rho + rho.conj().T)  # Hermitian to the last bit, as the action assumes
     return rho / np.trace(rho).real
+
+
+def encode(rho):
+    """The oracle's real state Q = Re rho + Im rho of a Hermitian rho."""
+    return rho.real + rho.imag
 
 
 def assert_valid_density(state):
@@ -118,11 +130,27 @@ class TestLindbladAction:
     def test_matches_operator_form(self, cutoffs, g, f, nbar):
         n_a, n_b = cutoffs
         gamma = 0.7
-        rho = random_density(n_a * n_b, seed=n_a * 100 + n_b)
-        out = np.empty_like(rho)
-        _LindbladAction(n_a, n_b, gamma, nbar)(rho, g, np.complex128(f), out)
+        d = n_a * n_b
+        rho = random_density(d, seed=n_a * 100 + n_b)
+        q, out = np.empty((2, d, d)), np.empty((d, d))
+        q[0] = encode(rho)
+        _LindbladAction(n_a, n_b, gamma, nbar)(q, g, np.complex128(f), out)
+        assert np.array_equal(q[1], q[0].T)
         expected = operator_action(rho, n_a, n_b, g, gamma, nbar, f)
-        assert np.max(np.abs(out - expected)) < 1e-14
+        assert np.max(np.abs(_decode(out) - expected)) < 1e-14
+
+    def test_encoding_round_trip_is_exact(self):
+        # entries on a 2^-20 grid keep Re rho +- Im rho exact, so decode(encode(rho)) is rho bit for bit
+        rng = np.random.default_rng(3)
+        z = np.ldexp(rng.integers(-(2**20), 2**20, (2, 30, 30)).astype(float), -20)
+        rho = (z[0] + z[0].T) + 1j * (z[1] - z[1].T)
+        q = encode(rho)
+        assert np.array_equal(np.diagonal(q), np.diagonal(rho).real)  # diag Q holds the populations
+        back = _decode(q)
+        assert np.array_equal(back.view(np.uint64), rho.view(np.uint64))
+        # in general the encoding rounds Re rho + Im rho once: the round trip is exact to a few ulps
+        rho = random_density(30, seed=4)
+        assert np.max(np.abs(_decode(encode(rho)) - rho)) <= 4 * np.finfo(float).eps * np.max(np.abs(rho))
 
     def test_dense_evolve_matches_slice_reference(self):
         # two legs (tau inside the run), thermal bath, CD drive
@@ -195,14 +223,41 @@ class TestDenseEvolve:
         # kept sample
         real_call = _LindbladAction.__call__
 
-        def corrupted(self, rho, g, f, out):
-            real_call(self, rho, g, f, out)
-            out[index, index] += gain
+        def corrupted(self, q, g, f, out):
+            real_call(self, q, g, f, out)
+            out[index, index] += gain  # the diagonal of Q' is the population change
 
         monkeypatch.setattr(_LindbladAction, "__call__", corrupted)
         params = ModelParams(omega0=1.0, g=0.3, gamma=0.2, nbar=0.0, delta_r=0.0, tau=1.0)
         with pytest.raises(error, match=message):
             dense_evolve(params, DriveProfile.off(), cutoffs=(5, 5), step=0.01, t_end=1.0, sample_stride=50)
+
+    def test_kept_states_are_hermitian(self):
+        # decoded snapshots: Re rho symmetric bit for bit, Im rho antisymmetric
+        # exactly (a zero and its negation compare equal)
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.4, nbar=0.1, delta_r=0.5, tau=0.6)
+        run = dense_evolve(params, DriveProfile.cd_sin_sq(0.2, 0.5), cutoffs=(8, 7), step=0.01, t_end=1.0)
+        assert len(run.states) == 11
+        for state in run.states:
+            rho = state.rho
+            assert np.array_equal(rho, rho.conj().T)
+            assert np.array_equal(rho.real.view(np.uint64), rho.real.T.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"step": math.nan}, r"step must be finite and > 0, got nan"),
+            ({"step": -0.01}, r"step must be finite and > 0"),
+            ({"t_end": math.inf}, r"t_end must be finite and >= 0, got inf"),
+            ({"t_end": math.nan}, r"t_end must be finite and >= 0"),
+            ({"sample_stride": 0}, r"sample_stride must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        params = ModelParams(omega0=1.0, g=0.3, gamma=0.2, nbar=0.0, delta_r=0.0, tau=1.0)
+        args = {"cutoffs": (4, 4), "step": 0.01, "t_end": 0.1, "sample_stride": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            dense_evolve(params, DriveProfile.off(), **args)
 
     def test_truncation_leak_raises(self):
         # strong drive into a tiny box must trip the guard, not silently reflect

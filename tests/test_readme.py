@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import qbattery
+from qbattery.energetics import report_series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,6 +21,16 @@ def test_library_example_runs(capsys):
     assert energy > 0.0
     assert ergotropy == pytest.approx(energy, rel=1e-9)  # at T = 0 the battery stays coherent
     assert residual <= 1e-6
+
+
+def test_library_example_energies_are_ordered(capsys):
+    # M rounds just below 1 on this coherent battery; no row may report
+    # ergotropy above e_b or a negative passive energy
+    namespace = {}
+    exec(compile(library_example(), "README.md", "exec"), namespace)
+    rows = report_series(namespace["traj"])
+    assert len(rows) == 151
+    assert all(0.0 <= r.passive_b and r.ergotropy_b <= r.e_b for r in rows)
 
 
 def test_top_level_names_are_the_readme_ones():
