@@ -9,7 +9,7 @@ numerical engine stays the ground truth for all figures; this module is a
 cross-check only.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,25 +170,9 @@ class ValidationReport:
     threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "best": self.best,
-            "threshold": self.threshold,
-            "alpha_scale": self.alpha_scale,
-            "beta_scale": self.beta_scale,
-            "fits": [
-                {
-                    "interpretation": f.interpretation,
-                    "b_value": [f.b_value.real, f.b_value.imag],
-                    "max_dev_alpha": f.max_dev_alpha,
-                    "max_dev_beta": f.max_dev_beta,
-                    "max_dev_energy": f.max_dev_energy,
-                    "alpha_verified": f.alpha_verified,
-                    "beta_verified": f.beta_verified,
-                }
-                for f in self.fits
-            ],
-        }
+        d = asdict(self)
+        d["fits"] = [{**f, "b_value": [f["b_value"].real, f["b_value"].imag]} for f in d["fits"]]
+        return d
 
 
 def validate_against_numerics(

@@ -1,30 +1,22 @@
 """Counterdiabatic control fields.
 
 Two constructions live here: the displaced-frame drive correction for the
-damped driven oscillator (an analytic formula), and the generic closed-system
-transitionless Hamiltonian built by finite-differencing gauge-fixed
-eigenvectors on a sampled time grid.
+damped driven oscillator (an analytic formula, and its harmonics), and the
+closed-system transitionless Hamiltonian of a sampled H0(t). That one works on
+an (n, d, d) stack of samples: one batched eigendecomposition, a cumulative
+phase sum as the gauge fix, and finite differences along the time axis.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, GridTooCoarse, SingularDenominator
 from .model import DriveKind, DriveProfile, envelope
 
-__all__ = [
-    "HermitianTrajectorySample",
-    "cd_from_eigensystem",
-    "cd_hamiltonian_closed",
-    "drive_field",
-    "drive_harmonics",
-    "eigensystem_trajectory",
-    "propagate_unitary",
-]
+__all__ = ["cd_hamiltonian_closed", "drive_field", "drive_harmonics", "propagate_unitary"]
 
 HERMITICITY_TOL = 1e-12
 GAUGE_OVERLAP_MIN = 0.9
+MIN_GAP = 1e-8
 
 
 def _cd_denominator(delta_r: float, gamma: float) -> complex:
@@ -72,129 +64,93 @@ def drive_harmonics(profile: DriveProfile, delta_r: float, gamma: float) -> tupl
     return c0, c - corr, c + corr
 
 
-@dataclass(frozen=True)
-class HermitianTrajectorySample:
-    """One time sample of a Hermitian operator trajectory."""
+def cd_hamiltonian_closed(ts, h) -> np.ndarray:
+    """Transitionless-driving Hamiltonian i sum_{m != n} |m><m|d_t n><n| of a sampled H0(t).
 
-    t: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
-            raise ValueError(f"matrix not Hermitian (deviation {dev:.3e})")
-        object.__setattr__(self, "matrix", m)
-
-
-def eigensystem_trajectory(
-    samples: list[HermitianTrajectorySample], min_gap: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose a sampled Hermitian trajectory on a uniform grid.
-
-    Returns ``(ts, vals, vecs)`` with eigenvalues ascending and eigenvectors
-    in columns, raw phases as produced by the solver (no gauge fixing).
+    ``h`` holds one Hermitian matrix per time of the uniform grid ``ts``, shape
+    (n, d, d); so does the result, which is Hermitian and traceless by construction.
 
     Raises
     ------
+    ValueError
+        Naming the time of the first sample that is not Hermitian, has no time
+        or no matrix, or breaks a strictly increasing uniform grid of at least 3 points.
     DegenerateSpectrum
-        If any sample has adjacent eigenvalues closer than ``min_gap``.
+        If adjacent eigenvalues of a sample are closer than ``MIN_GAP``.
+    GridTooCoarse
+        See ``_transitionless``.
     """
-    if len(samples) < 3:
+    ts, h = np.asarray(ts, dtype=float), np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError(f"samples must be an (n, d, d) stack of square matrices, got shape {h.shape}")
+    if ts.shape != h.shape[:1]:
+        n = min(ts.size, len(h))
+        after = f" after t={ts.flat[n - 1]}" if n else ""
+        raise ValueError(f"{ts.size} times for {len(h)} matrices: not one time per matrix{after}")
+    dev = np.max(np.abs(h - h.conj().swapaxes(1, 2)), axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= HERMITICITY_TOL * np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"matrix not Hermitian (deviation {dev[k]:.3e}) at t={ts[k]}")
+    if len(ts) < 3:
         raise ValueError("need at least 3 samples for finite differences")
-    ts = np.array([s.t for s in samples], dtype=float)
     steps = np.diff(ts)
-    if np.any(steps <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("samples must lie on a uniform time grid")
-    dim = samples[0].matrix.shape[0]
-    vals = np.empty((len(samples), dim))
-    vecs = np.empty((len(samples), dim, dim), dtype=complex)
-    for k, s in enumerate(samples):
-        w, v = np.linalg.eigh(s.matrix)
-        gap = np.min(np.diff(w)) if dim > 1 else np.inf
-        if gap < min_gap:
-            raise DegenerateSpectrum(
-                f"spectral gap {gap:.3e} below tolerance {min_gap:.3e} at t={s.t}"
-            )
-        vals[k], vecs[k] = w, v
-    return ts, vals, vecs
+    bad = np.flatnonzero((steps <= 0) | ~(np.abs(steps - steps[0]) <= 1e-9 * steps[0]))
+    if bad.size:
+        raise ValueError(f"sample times must be strictly increasing and uniform, not at t={ts[bad[0] + 1]}")
+    w, vecs = np.linalg.eigh(h)
+    gaps = np.diff(w, axis=1).min(axis=1, initial=np.inf)
+    bad = np.flatnonzero(gaps < MIN_GAP)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateSpectrum(f"spectral gap {gaps[k]:.3e} below tolerance {MIN_GAP:.3e} at t={ts[k]}")
+    return _transitionless(ts[1] - ts[0], vecs)
 
 
-def cd_from_eigensystem(
-    ts: np.ndarray, vecs: np.ndarray, gauge_fix: bool = True
-) -> list[np.ndarray]:
-    """Assemble the transitionless-driving term from sampled eigenvectors.
+def _transitionless(dt: float, vecs: np.ndarray) -> np.ndarray:
+    """H_CD from an (n, d, d) stack of eigenvector columns sampled every ``dt``.
 
-    Computes i * sum_{m != n} |m><m|d_t n><n| using central differences at
-    interior points and one-sided differences at the ends. With gauge fixing,
-    each eigenvector's phase is chosen to maximize the real part of its
-    overlap with the previous sample, which makes the finite differences
-    meaningful; the result is independent of any constant per-level phase.
+    The gauge fix theta_k = theta_{k-1} + arg <v_{k-1}|v_k> makes each level's
+    overlap with the previous sample real and positive, so the result does not
+    depend on the solver's phases. The derivative is central inside the grid
+    and one-sided at its ends.
 
     Raises
     ------
     GridTooCoarse
-        If adjacent same-level eigenvectors overlap below 0.9 in magnitude.
+        If adjacent same-level eigenvectors overlap below ``GAUGE_OVERLAP_MIN`` in magnitude.
     """
-    vecs = np.array(vecs, dtype=complex)
-    n_samples, dim = vecs.shape[0], vecs.shape[1]
-    if gauge_fix:
-        for k in range(1, n_samples):
-            for j in range(dim):
-                ov = np.vdot(vecs[k - 1][:, j], vecs[k][:, j])
-                if abs(ov) < GAUGE_OVERLAP_MIN:
-                    raise GridTooCoarse(
-                        f"eigenvector overlap {abs(ov):.3f} < {GAUGE_OVERLAP_MIN} "
-                        f"between samples {k - 1} and {k} (level {j})"
-                    )
-                vecs[k][:, j] *= np.exp(-1j * np.angle(ov))
-    dt = ts[1] - ts[0]
-    out = []
-    for k in range(n_samples):
-        if k == 0:
-            vdot = (vecs[1] - vecs[0]) / dt
-        elif k == n_samples - 1:
-            vdot = (vecs[-1] - vecs[-2]) / dt
-        else:
-            vdot = (vecs[k + 1] - vecs[k - 1]) / (2.0 * dt)
-        coupling = vecs[k].conj().T @ vdot
-        np.fill_diagonal(coupling, 0.0)
-        # antihermitian part only: keeps the output exactly Hermitian/traceless
-        coupling = 0.5 * (coupling - coupling.conj().T)
-        out.append(1j * vecs[k] @ coupling @ vecs[k].conj().T)
-    return out
+    ov = np.sum(vecs[:-1].conj() * vecs[1:], axis=1)  # (n - 1, d): <v_{k-1}|v_k> per level
+    low = np.argwhere(np.abs(ov) < GAUGE_OVERLAP_MIN)
+    if low.size:
+        k, j = low[0]
+        raise GridTooCoarse(
+            f"eigenvector overlap {abs(ov[k, j]):.3f} < {GAUGE_OVERLAP_MIN} "
+            f"between samples {k} and {k + 1} (level {j})"
+        )
+    theta = np.concatenate([np.zeros((1, vecs.shape[2])), np.cumsum(np.angle(ov), axis=0)])
+    vecs = vecs * np.exp(-1j * theta)[:, None, :]
+    vecs_h = vecs.conj().swapaxes(1, 2)
+    coupling = vecs_h @ np.gradient(vecs, dt, axis=0)
+    diag = np.arange(vecs.shape[2])
+    coupling[:, diag, diag] = 0.0
+    # antihermitian part only: keeps the output exactly Hermitian/traceless
+    coupling = 0.5 * (coupling - coupling.conj().swapaxes(1, 2))
+    return 1j * vecs @ coupling @ vecs_h
 
 
-def cd_hamiltonian_closed(
-    samples: list[HermitianTrajectorySample], min_gap: float = 1e-8
-) -> list[HermitianTrajectorySample]:
-    """Transitionless-driving Hamiltonian for a sampled trajectory H0(t).
-
-    Input samples must lie on a uniform grid with a non-degenerate spectrum
-    throughout. The output is Hermitian and traceless by construction.
-    """
-    ts, _, vecs = eigensystem_trajectory(samples, min_gap=min_gap)
-    mats = cd_from_eigensystem(ts, vecs, gauge_fix=True)
-    return [HermitianTrajectorySample(t=t, matrix=m) for t, m in zip(ts, mats)]
-
-
-def propagate_unitary(ts: np.ndarray, hams: list[np.ndarray], psi0: np.ndarray) -> np.ndarray:
-    """Dense unitary propagation of a state under a sampled Hamiltonian.
+def propagate_unitary(ts, h, psi0) -> np.ndarray:
+    """Dense unitary propagation of a state under an (n, d, d) stack of Hamiltonian samples.
 
     Steps with exp(-i*H_mid*dt) where H_mid is the average of adjacent
-    samples. Returns the state at every sample time, shape (n_samples, dim).
+    samples. Returns the state at every sample time, shape (n, d).
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    out = np.empty((len(ts), psi.size), dtype=complex)
-    out[0] = psi
-    for k in range(len(ts) - 1):
-        dt = ts[k + 1] - ts[k]
-        h_mid = 0.5 * (hams[k] + hams[k + 1])
-        w, v = np.linalg.eigh(h_mid)
-        psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
-        out[k + 1] = psi
+    h = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (h[:-1] + h[1:]))
+    phases = np.exp(-1j * w * np.diff(ts)[:, None])
+    v_h = v.conj().swapaxes(1, 2)
+    out = np.empty((len(h), np.size(psi0)), dtype=complex)
+    out[0] = psi0
+    for k in range(len(h) - 1):
+        out[k + 1] = v[k] @ (phases[k] * (v_h[k] @ out[k]))
     return out

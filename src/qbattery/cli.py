@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, energetics, oracle
-from .cd_control import HermitianTrajectorySample, cd_hamiltonian_closed, propagate_unitary
+from .cd_control import cd_hamiltonian_closed, propagate_unitary
 from .dynamics import Trajectory, default_step, integrate, propagate
 from .errors import ConfigError, QBatteryError
 from .model import DriveKind, DriveProfile, ModelParams
@@ -82,14 +82,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The configuration as given; a defaulted step is left out, so the echo re-resolves it."""
         d = {
-            "model": {
-                "omega0": self.params.omega0,
-                "g": self.params.g,
-                "gamma": self.params.gamma,
-                "nbar": self.params.nbar,
-                "delta_r": self.params.delta_r,
-                "tau": self.params.tau,
-            },
+            "model": dataclasses.asdict(self.params),
             "drive": {
                 "profile": self.profile.kind.value,
                 "f0": self.profile.f0,
@@ -124,6 +117,11 @@ def _number(section: dict, key: str, name: str, default=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"'{name}.{key}' must be a finite number, got {v!r}")
     return float(v)
+
+
+def _require_cd_denominator(params: ModelParams, profile: DriveProfile) -> None:
+    if profile.kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
+        raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -171,8 +169,7 @@ def parse_config(doc: dict) -> RunConfig:
         f0=_number(drv, "f0", "drive", 0.0),
         omega_env=_number(drv, "omega_env", "drive", 0.0),
     )
-    if kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
-        raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
+    _require_cd_denominator(params, profile)
 
     auto_step = "step" not in num
     step = _number(num, "step", "numerics", default_step(params, profile))
@@ -204,7 +201,7 @@ def parse_config(doc: dict) -> RunConfig:
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path must be a string")
 
-    return RunConfig(
+    config = RunConfig(
         params=params,
         profile=profile,
         step=step,
@@ -216,6 +213,14 @@ def parse_config(doc: dict) -> RunConfig:
         out_format=out_format,
         auto_step=auto_step,
     )
+    # every sweep point is checked here, so a bad one fails before any point writes a file
+    for v in sweep_values:
+        try:
+            point = _apply_sweep_value(config, v)
+            _require_cd_denominator(point.params, point.profile)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {sweep_parameter} = {v!r}: {exc}") from exc
+    return config
 
 
 def load_config(path: str) -> RunConfig:
@@ -522,24 +527,16 @@ def _selftest_decomposition_check() -> list:
 def _selftest_transitionless_check() -> list:
     delta, lam0, t_total, n = 0.5, 8.0, 2.0, 2001
     ts = np.linspace(0.0, t_total, n)
-    samples = []
-    for t in ts:
-        lam = lam0 * math.cos(math.pi * t / t_total)
-        h0 = 0.5 * np.array([[lam, delta], [delta, -lam]], dtype=complex)
-        samples.append(HermitianTrajectorySample(t=t, matrix=h0))
-    cd = cd_hamiltonian_closed(samples)
-    ground = []
-    for s in samples:
-        _, v = np.linalg.eigh(s.matrix)
-        ground.append(v[:, 0])
+    lam, d = lam0 * np.cos(np.pi * ts / t_total), np.full(n, delta)
+    h0 = 0.5 * np.moveaxis(np.array([[lam, d], [d, -lam]], dtype=complex), -1, 0)
+    ground = np.linalg.eigh(h0)[1][:, :, 0]
 
-    def min_overlap(h_list):
-        psi = propagate_unitary(ts, h_list, ground[0])
-        ov = [abs(np.vdot(ground[k], psi[k])) ** 2 for k in range(0, n, 20)]
-        return min(ov)
+    def min_overlap(h):
+        psi = propagate_unitary(ts, h, ground[0])
+        return min(abs(np.vdot(ground[k], psi[k])) ** 2 for k in range(0, n, 20))
 
-    bare = min_overlap([s.matrix for s in samples])
-    driven = min_overlap([s.matrix + c.matrix for s, c in zip(samples, cd)])
+    bare = min_overlap(h0)
+    driven = min_overlap(h0 + cd_hamiltonian_closed(ts, h0))
     return [
         close_check("transitionless_cd_overlap", 1.0 - driven, 1e-4, overlap=driven),
         close_check(

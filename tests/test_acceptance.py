@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qbattery.analytic import validate_against_numerics
-from qbattery.cd_control import HermitianTrajectorySample, cd_hamiltonian_closed, propagate_unitary
+from qbattery.cd_control import cd_hamiltonian_closed, propagate_unitary
 from qbattery.cli import main as cli_main
 from qbattery.dynamics import MomentState, integrate, propagate
 from qbattery.energetics import decompose, ergotropy_b, report_series
@@ -203,22 +203,11 @@ def test_criterion_07_integrator_convergence():
 def test_criterion_08_transitionless_two_level_demo():
     delta, lam0, t_total, n = 0.5, 8.0, 2.0, 4001
     ts = np.linspace(0.0, t_total, n)
-    samples = [
-        HermitianTrajectorySample(
-            t=t,
-            matrix=0.5
-            * np.array(
-                [[lam0 * math.cos(math.pi * t / t_total), delta],
-                 [delta, -lam0 * math.cos(math.pi * t / t_total)]],
-                dtype=complex,
-            ),
-        )
-        for t in ts
-    ]
-    cd = cd_hamiltonian_closed(samples)
-    grounds = [np.linalg.eigh(s.matrix)[1][:, 0] for s in samples]
-    psi_cd = propagate_unitary(ts, [s.matrix + c.matrix for s, c in zip(samples, cd)], grounds[0])
-    psi_bare = propagate_unitary(ts, [s.matrix for s in samples], grounds[0])
+    lam, d = lam0 * np.cos(np.pi * ts / t_total), np.full(n, delta)
+    h = 0.5 * np.moveaxis(np.array([[lam, d], [d, -lam]], dtype=complex), -1, 0)
+    grounds = np.linalg.eigh(h)[1][:, :, 0]
+    psi_cd = propagate_unitary(ts, h + cd_hamiltonian_closed(ts, h), grounds[0])
+    psi_bare = propagate_unitary(ts, h, grounds[0])
     overlap_cd = min(abs(np.vdot(grounds[k], psi_cd[k])) ** 2 for k in range(0, n, 25))
     overlap_bare = abs(np.vdot(grounds[-1], psi_bare[-1])) ** 2
     assert overlap_bare < 0.9, "sweep too slow to be a meaningful demo"

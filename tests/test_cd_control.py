@@ -3,29 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qbattery.cd_control import (
-    HermitianTrajectorySample,
-    cd_from_eigensystem,
-    cd_hamiltonian_closed,
-    drive_field,
-    drive_harmonics,
-    eigensystem_trajectory,
-    propagate_unitary,
-)
+from qbattery.cd_control import _transitionless, cd_hamiltonian_closed, drive_field, drive_harmonics, propagate_unitary
 from qbattery.errors import DegenerateSpectrum, GridTooCoarse, SingularDenominator
 from qbattery.model import DriveProfile, envelope
 
 
 def two_level_sweep(delta, lam0, t_total, n):
-    """Avoided-crossing samples H0(t) = (delta*sx + lam(t)*sz)/2, lam = lam0*cos(pi t/T)."""
+    """Avoided-crossing stack H0(t) = (delta*sx + lam(t)*sz)/2, lam = lam0*cos(pi t/T), shape (n, 2, 2)."""
     ts = np.linspace(0.0, t_total, n)
-    samples = []
-    for t in ts:
-        lam = lam0 * math.cos(math.pi * t / t_total)
-        samples.append(
-            HermitianTrajectorySample(t=t, matrix=0.5 * np.array([[lam, delta], [delta, -lam]], dtype=complex))
-        )
-    return ts, samples
+    lam, d = lam0 * np.cos(np.pi * ts / t_total), np.full(n, delta)
+    return ts, 0.5 * np.moveaxis(np.array([[lam, d], [d, -lam]], dtype=complex), -1, 0)
 
 
 def reference_cd_field(t, f0, w, delta_r, gamma):
@@ -126,26 +113,21 @@ class TestCdHamiltonianClosed:
         rng = np.random.default_rng(7)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = m + m.conj().T
-        samples = [HermitianTrajectorySample(t=0.1 * k, matrix=h) for k in range(5)]
-        for s in cd_hamiltonian_closed(samples):
-            assert np.max(np.abs(s.matrix)) < 1e-10
+        cd = cd_hamiltonian_closed(0.1 * np.arange(5), np.broadcast_to(h, (5, 3, 3)))
+        assert cd.shape == (5, 3, 3)
+        assert np.max(np.abs(cd)) < 1e-10
 
     def test_identity_shift_invariance(self):
-        ts, samples = two_level_sweep(0.5, 4.0, 2.0, 201)
-        shifted = [
-            HermitianTrajectorySample(t=s.t, matrix=s.matrix + (1.0 + 0.3 * s.t) * np.eye(2))
-            for s in samples
-        ]
-        cd_a = cd_hamiltonian_closed(samples)
-        cd_b = cd_hamiltonian_closed(shifted)
-        dev = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(cd_a, cd_b))
+        ts, h = two_level_sweep(0.5, 4.0, 2.0, 201)
+        shifted = h + (1.0 + 0.3 * ts)[:, None, None] * np.eye(2)
+        dev = np.max(np.abs(cd_hamiltonian_closed(ts, h) - cd_hamiltonian_closed(ts, shifted)))
         assert dev < 1e-9
 
     def test_two_level_closed_form(self):
         # exact CD term for the avoided crossing: -(delta*lamdot / (2 E^2)) * sigma_y
         delta, lam0, t_total, n = 0.5, 8.0, 2.0, 4001
-        ts, samples = two_level_sweep(delta, lam0, t_total, n)
-        cd = cd_hamiltonian_closed(samples)
+        ts, h = two_level_sweep(delta, lam0, t_total, n)
+        cd = cd_hamiltonian_closed(ts, h)
         sy = np.array([[0.0, -1j], [1j, 0.0]])
         worst = 0.0
         for k in range(1, n - 1, 100):
@@ -153,62 +135,69 @@ class TestCdHamiltonianClosed:
             lam = lam0 * math.cos(math.pi * t / t_total)
             lamdot = -lam0 * math.pi / t_total * math.sin(math.pi * t / t_total)
             exact = -(delta * lamdot / (2.0 * (delta**2 + lam**2))) * sy
-            worst = max(worst, float(np.max(np.abs(cd[k].matrix - exact))))
+            worst = max(worst, float(np.max(np.abs(cd[k] - exact))))
         assert worst < 1e-3  # limited by the second-order finite differences
 
     def test_output_hermitian_traceless(self):
-        _, samples = two_level_sweep(0.5, 8.0, 2.0, 801)
-        for s in cd_hamiltonian_closed(samples)[::100]:
-            assert np.max(np.abs(s.matrix - s.matrix.conj().T)) < 1e-14
-            assert abs(np.trace(s.matrix)) < 1e-14
+        ts, h = two_level_sweep(0.5, 8.0, 2.0, 801)
+        for m in cd_hamiltonian_closed(ts, h)[::100]:
+            assert np.max(np.abs(m - m.conj().T)) < 1e-14
+            assert abs(np.trace(m)) < 1e-14
 
     def test_off_diagonal_imaginary_in_sz_basis(self):
-        _, samples = two_level_sweep(0.5, 8.0, 2.0, 801)
-        mid = cd_hamiltonian_closed(samples)[400].matrix
+        ts, h = two_level_sweep(0.5, 8.0, 2.0, 801)
+        mid = cd_hamiltonian_closed(ts, h)[400]
         assert abs(mid[0, 0]) < 1e-12 and abs(mid[1, 1]) < 1e-12
         assert abs(mid[0, 1].real) < 1e-12
         assert abs(mid[0, 1].imag) > 1e-4
 
     def test_gauge_invariance_under_random_phases(self):
-        ts, samples = two_level_sweep(0.5, 4.0, 2.0, 401)
-        ts_e, _, vecs = eigensystem_trajectory(samples)
-        reference = cd_from_eigensystem(ts_e, vecs, gauge_fix=True)
+        ts, h = two_level_sweep(0.5, 4.0, 2.0, 401)
+        vecs = np.linalg.eigh(h)[1]
+        dt = ts[1] - ts[0]
+        reference = _transitionless(dt, vecs)
         rng = np.random.default_rng(11)
-        scrambled = vecs.copy()
-        for k in range(len(ts_e)):
-            scrambled[k] = scrambled[k] * np.exp(2j * np.pi * rng.random(2))[None, :]
-        redone = cd_from_eigensystem(ts_e, scrambled, gauge_fix=True)
-        dev = max(np.max(np.abs(a - b)) for a, b in zip(reference, redone))
+        scrambled = vecs * np.exp(2j * np.pi * rng.random((len(ts), 2)))[:, None, :]
+        dev = np.max(np.abs(reference - _transitionless(dt, scrambled)))
         assert dev < 1e-8
 
     def test_degenerate_spectrum_raises(self):
-        samples = [
-            HermitianTrajectorySample(t=0.1 * k, matrix=np.eye(2, dtype=complex)) for k in range(5)
-        ]
-        with pytest.raises(DegenerateSpectrum):
-            cd_hamiltonian_closed(samples)
+        with pytest.raises(DegenerateSpectrum, match="at t=0.0"):
+            cd_hamiltonian_closed(0.1 * np.arange(5), np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)))
 
     def test_grid_too_coarse_raises(self):
         # 5 samples across a sharp crossing: adjacent eigenvectors nearly orthogonal
-        _, samples = two_level_sweep(0.01, 50.0, 2.0, 5)
+        ts, h = two_level_sweep(0.01, 50.0, 2.0, 5)
         with pytest.raises(GridTooCoarse):
-            cd_hamiltonian_closed(samples)
+            cd_hamiltonian_closed(ts, h)
 
     def test_requires_uniform_grid(self):
-        _, samples = two_level_sweep(0.5, 4.0, 2.0, 51)
-        bad = samples[:10] + samples[11:]
-        with pytest.raises(ValueError):
-            cd_hamiltonian_closed(bad)
+        ts, h = two_level_sweep(0.5, 4.0, 2.0, 51)
+        keep = np.arange(51) != 10
+        with pytest.raises(ValueError, match=f"at t={ts[11]}"):
+            cd_hamiltonian_closed(ts[keep], h[keep])
+
+    @pytest.mark.parametrize("n_times", [50, 52])
+    def test_one_time_per_matrix(self, n_times):
+        ts, h = two_level_sweep(0.5, 4.0, 2.0, 51)
+        ts = np.linspace(0.0, 2.0, n_times)
+        with pytest.raises(ValueError, match=f"after t={ts[min(n_times, 51) - 1]}"):
+            cd_hamiltonian_closed(ts, h)
+
+    def test_non_hermitian_sample_names_its_time(self):
+        ts, h = two_level_sweep(0.5, 4.0, 2.0, 51)
+        h[7, 0, 1] += 1e-6j
+        with pytest.raises(ValueError, match=f"not Hermitian .* at t={ts[7]}"):
+            cd_hamiltonian_closed(ts, h)
 
 
 class TestTransitionless:
     def test_cd_keeps_instantaneous_ground_state(self):
         delta, lam0, t_total, n = 0.5, 8.0, 2.0, 2001
-        ts, samples = two_level_sweep(delta, lam0, t_total, n)
-        cd = cd_hamiltonian_closed(samples)
-        grounds = [np.linalg.eigh(s.matrix)[1][:, 0] for s in samples]
-        psi_cd = propagate_unitary(ts, [s.matrix + c.matrix for s, c in zip(samples, cd)], grounds[0])
-        psi_bare = propagate_unitary(ts, [s.matrix for s in samples], grounds[0])
+        ts, h = two_level_sweep(delta, lam0, t_total, n)
+        grounds = np.linalg.eigh(h)[1][:, :, 0]
+        psi_cd = propagate_unitary(ts, h + cd_hamiltonian_closed(ts, h), grounds[0])
+        psi_bare = propagate_unitary(ts, h, grounds[0])
         ov_cd = min(abs(np.vdot(grounds[k], psi_cd[k])) ** 2 for k in range(0, n, 25))
         ov_bare = abs(np.vdot(grounds[-1], psi_bare[-1])) ** 2
         assert ov_cd >= 1.0 - 1e-4

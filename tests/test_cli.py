@@ -190,6 +190,21 @@ class TestSweep:
         p = write_config(tmp_path, doc)
         assert main(["sweep", "--config", str(p)]) == 0
 
+    @pytest.mark.parametrize(
+        "parameter,values,message",
+        [
+            ("F0", [0.1, -0.1, 0.3], "sweep value F0 = -0.1: drive amplitude f0 must be >= 0, got -0.1"),
+            ("gamma", [1.0, 0.0], "sweep value gamma = 0.0: CD-corrected drive requires gamma or delta_r nonzero"),
+            ("g", [0.2, -0.2], "sweep value g = -0.2: g must be >= 0, got -0.2"),
+        ],
+    )
+    def test_invalid_point_fails_before_any_file(self, tmp_path, capsys, parameter, values, message):
+        # the base config is valid (kappa = 1, so delta_r = 0 and only gamma keeps the CD denominator nonzero)
+        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": parameter, "values": values})
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
     def test_failed_point_records_error_type(self, tmp_path):
         # F0 = 1e300 overflows the squared means of the second point
