@@ -239,16 +239,15 @@ def load_config(path: str) -> RunConfig:
 # artifacts
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 256  # rows per formatting pass; keeps the temporaries in the tens of KB
+_CHUNK_ROWS = 256  # rows per formatting pass; from about 350 rows on, every pass page-faults its temporaries
 _K0 = -290  # smallest power of ten in the exact-product table
-#: one value's text and separator in 25 bytes
-_SLOT = np.dtype([("sign", "u1"), ("lead", "u1"), ("dot", "u1"), ("quads", "<u4", 4), ("e", "u1"),
-                  ("esign", "u1"), ("exp", "u1", 3), ("sep", "u1")])
+_U = np.uint64  # explicit scalars: numpy 1.x value-based casting would turn mixed integer math into floats
 
 
 @functools.cache
 def _format_tables() -> tuple:
-    """10^k = hi + lo to about 2^-106 for k in [_K0, 300], hi's Dekker halves, and the quads '0000'-'9999'."""
+    """For k in [_K0, 300], rows (hi, lo, hh, hl), 10^k = hi + lo to about 2^-106 and hi = hh + hl Dekker's halves,
+    and the least double >= 10^k; words, low byte first, of each exponent and of sign, lead digit and '.'."""
     hi, lo = [], []
     for k in range(_K0, 301):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)  # int / int rounds correctly
@@ -257,56 +256,61 @@ def _format_tables() -> tuple:
         lo.append((num * q - p * den) / (q * den))
     hi, lo = np.array(hi), np.array(lo)
     hh = hi * 134217729.0 - (hi * 134217729.0 - hi)
-    q = np.arange(10**4, dtype=np.uint32)  # as '<u4', the first digit is the first byte
-    quads = 0x30303030 + q // 1000 + (q // 100 % 10 << 8) + (q // 10 % 10 << 16) + (q % 10 << 24)
-    return hi, lo, hh, hi - hh, quads
+    texts = [f"e{k:+03d}" for k in range(_K0, 301)], [f"\0\0\0\0\0{s}{str(d)[0]}." for s in "\0-" for d in range(11)]
+    words = (np.array([int.from_bytes(w.encode(), "little") for w in ws], np.uint64) for ws in texts)
+    return np.stack([hi, lo, hh, hi - hh], axis=1), np.where(lo > 0.0, np.nextafter(hi, np.inf), hi), *words
 
 
 def _format_values(x: np.ndarray, seps: np.ndarray) -> bytes:
-    """format(v, ".16e") of each value of ``x``, each followed by its separator byte.
+    """format(v, ".16e") of each value of ``x``, each followed by its separator byte (``seps``, shifted by 56).
 
     The 17 digits are round(|x| 10^(16 - E)) from Dekker's exact product with 10^(16 - E) = hi + lo,
     within about 1e-14. Python formats values within 1e-9 of a tie and nonzero |x| outside [1e-280, 1e280].
+    Each text fills a 32-byte slot of four words (sign, lead, '.'; 8 digits; 8 digits; exponent, separator) and 0s.
     """
-    hi, lo, hh, hl, quads = _format_tables()
+    terms, ceil, exps, leads = _format_tables()
     a = np.abs(x)
     zero, fast = a == 0.0, (a >= 1e-280) & (a <= 1e280)
-    a = np.where(fast, a, 1.0)
-    # E of the exact value: the guess is E or E - 1, raised where |x| >= hi + lo of 10^(guess + 1)
+    a[~fast] = 1.0  # E = 0, the exponent of a zero
+    # E of the exact value: the guess is E or E - 1, raised where |x| >= 10^(guess + 1)
     e = np.floor(np.log10(a) - 1e-10).astype(np.int64) - _K0  # table index E - _K0
-    e += (a > hi[e + 1]) | ((a == hi[e + 1]) & (lo[e + 1] <= 0.0))
-    k = 16 - 2 * _K0 - e  # table index of 10^(16 - E)
+    e += a >= ceil[e + 1]
+    hi, lo, hh, hl = np.take(terms, 16 - 2 * _K0 - e, axis=0).T  # 10^(16 - E)
     c = a * 134217729.0  # Dekker's split: a = ah + al, halves of 26 bits, so their products are exact
     ah = c - (c - a)
     al = a - ah
-    p = a * hi[k]
-    t = ((ah * hh[k] - p) + ah * hl[k] + al * hh[k]) + al * hl[k] + a * lo[k]
-    yh = p + t  # y = |x| 10^(16 - E) in [1e16, 1e17) is yh + yl, yh an integer
+    p = a * hi
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    yh = p + t  # y = |x| 10^(16 - E) in [1e16, 1e17] is yh + yl, yh an integer
     yl = t - (yh - p)
-    fl = np.floor(yl)
-    slow = np.flatnonzero(~(fast | zero) | (np.abs(yl - fl - 0.5) <= 1e-9))
-    n = yh.astype(np.int64) + fl.astype(np.int64) + (yl - fl > 0.5)
-    carry = n == 10**17
-    n, e = np.where(carry, 10**16, n), e + carry + _K0
-    n[zero] = e[zero] = 0
-    s = np.zeros(x.size, _SLOT)  # 0 bytes are padding
-    lead, r = np.divmod(n, 10**16)
-    s["sign"], s["lead"], s["dot"] = np.signbit(x) * ord("-"), lead + ord("0"), ord(".")
-    s["e"], s["sep"] = ord("e"), seps
-    s["quads"] = quads[np.stack([r // 10**12, r // 10**8 % 10**4, r // 10**4 % 10**4, r % 10**4], axis=1)]
-    s["esign"], e = np.where(e < 0, ord("-"), ord("+")), np.abs(e)
-    s["exp"] = np.stack([np.where(e < 100, 0, e // 100 + 48), e // 10 % 10 + 48, e % 10 + 48], axis=1)
-    b = s.view(np.uint8)
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(yl - np.rint(yl)) >= 0.5 - 1e-9))
+    n = (yh.astype(np.int64) + np.rint(yl).astype(np.int64)).view(np.uint64)
+    n[zero] = 0
+    e += n == _U(10**17)  # rounded up to 10^17: lead 10, which reads 1
+    lead = n // _U(10**16)
+    d = np.stack([n // _U(10**8), n])  # digits 2-9 and 10-17
+    d[1] -= d[0] * _U(10**8)
+    d[0] -= lead * _U(10**8)
+    # each pass splits every lane of d in two, high-order half low; mul / 2^shift is 1 / div on these lanes
+    for bits, div, mul, shift, mask in ((32, 10**4, 3518437209, 45, 0x3FFF), (16, 100, 10486, 20, 0x7F0000007F),
+                                        (8, 10, 103, 10, 0xF000F000F000F)):
+        q = (d * _U(mul) >> _U(shift)) & _U(mask)
+        d -= q * _U(div)
+        d <<= _U(bits)
+        d |= q
+    lead += _U(11) * np.signbit(x)
+    w = np.stack([leads[lead.view(np.int64)], *(d | _U(0x3030303030303030)), exps[e] | seps], axis=1, dtype="<u8")
     for i in slow:
-        b[25 * i:25 * i + 24] = np.frombuffer(format(float(x[i]), ".16e").encode().ljust(24, b"\0"), np.uint8)
-    return b[b != 0].tobytes()
+        w.view(np.uint8)[i, :31] = np.frombuffer(format(float(x[i]), ".16e").encode().ljust(31, b"\0"), np.uint8)
+    return w.tobytes().translate(None, b"\0")
 
 
-def _csv_body(rows: np.ndarray) -> bytes:
-    """CSV data lines of ``rows``, byte-identical to ``"%.16e"`` of each value."""
-    seps = np.frombuffer(b"," * (rows.shape[1] - 1) + b"\n", np.uint8)
-    chunks = (rows[i:i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS))
-    return b"".join(_format_values(c.ravel(), np.tile(seps, len(c))) for c in chunks)
+def _csv_chunks(rows: np.ndarray):
+    """CSV data lines of ``rows``, _CHUNK_ROWS at a time, byte-identical to ``"%.16e"`` of each value."""
+    seps = np.frombuffer((b"," * (rows.shape[1] - 1) + b"\n") * _CHUNK_ROWS, np.uint8).astype(np.uint64) << _U(56)
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        x = rows[i:i + _CHUNK_ROWS].ravel()
+        yield _format_values(x, seps[:x.size])
 
 
 def trajectory_rows(traj: Trajectory) -> np.ndarray:
@@ -324,10 +328,12 @@ def trajectory_rows(traj: Trajectory) -> np.ndarray:
 
 
 def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict) -> int:
-    """Write one run artifact; returns the number of data rows."""
+    """Write one run artifact and return its row count; rows are checked before the file is opened."""
     rows = trajectory_rows(traj)
     if fmt == "csv":
-        path.write_bytes((",".join(OUTPUT_COLUMNS) + "\n").encode() + _csv_body(rows))
+        with path.open("wb") as f:
+            f.write((",".join(OUTPUT_COLUMNS) + "\n").encode())
+            f.writelines(_csv_chunks(rows))
     else:
         # every double survives its 17-digit CSV text, so JSON rows are the values
         doc = {

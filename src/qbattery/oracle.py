@@ -19,7 +19,7 @@ from .dynamics import MomentState, check_run, grid_times, sample_grid
 from .errors import InvariantViolation, TruncationLeak
 from .model import DriveProfile, ModelParams
 
-__all__ = ["DenseState", "DenseTrajectory", "dense_evolve", "extract_moments", "mode_operators"]
+__all__ = ["DenseState", "DenseTrajectory", "dense_evolve", "extract_moments"]
 
 LEAK_TOL = 1e-6
 TRACE_TOL = 1e-8
@@ -52,19 +52,13 @@ class DenseTrajectory:
         return len(self.times)
 
 
-def mode_operators(n_a: int, n_b: int) -> dict:
-    """Dense annihilation/number operators on the joint truncated space."""
-    low_a = np.diag(np.sqrt(np.arange(1, n_a)), 1)
-    low_b = np.diag(np.sqrt(np.arange(1, n_b)), 1)
-    a = np.kron(low_a, np.eye(n_b))
-    b = np.kron(np.eye(n_a), low_b)
-    return {"a": a, "b": b, "ad": a.conj().T, "bd": b.conj().T}
-
-
 def _decode(q: np.ndarray) -> np.ndarray:
     """The Hermitian rho held by ``q``: Re rho = (Q + Q^T)/2, Im rho = (Q - Q^T)/2."""
     rho = np.empty(q.shape, dtype=complex)
-    rho.real, rho.imag = 0.5 * (q + q.T), 0.5 * (q - q.T)
+    np.add(q, q.T, out=rho.real)
+    rho.real *= 0.5
+    np.subtract(q, q.T, out=rho.imag)
+    rho.imag *= 0.5
     return rho
 
 
@@ -205,7 +199,7 @@ def dense_evolve(
 def extract_moments(state: DenseState) -> MomentState:
     """All eight tracked moments of a dense state, as trace(rho X).
 
-    Each truncated product X of :func:`mode_operators` shifts the Fock indices
+    Each truncated product X of the mode operators shifts the Fock indices
     by fixed amounts, so trace(rho X) is a weighted sum over one shifted
     diagonal of a reduced or of the joint density matrix.
     """

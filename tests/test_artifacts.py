@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qbattery.cli import OUTPUT_COLUMNS, _csv_body, trajectory_rows, write_trajectory
+from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _csv_chunks, trajectory_rows, write_trajectory
 from qbattery.dynamics import Trajectory, integrate, propagate
+from qbattery.errors import UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
 
 ECHO = {"note": "echo"}
@@ -35,6 +36,11 @@ def reference_rows(traj):
 def reference_csv(rows):
     """The per-value writer: format(v, ".16e") of each value, ',' between, LF after each row."""
     return "".join(",".join(format(v, ".16e") for v in r) + "\n" for r in rows)
+
+
+def _csv_body(rows):
+    """The data lines the writer streams, joined."""
+    return b"".join(_csv_chunks(rows))
 
 
 def reference_text(traj, fmt):
@@ -134,3 +140,25 @@ def test_multi_chunk_and_empty_trajectories(tmp_path):
         path = tmp_path / f"{name}.csv"
         assert write_trajectory(path, t, "csv", ECHO) == len(t) == n_rows
         assert path.read_text() == header + reference_csv(trajectory_rows(t).tolist())
+
+
+@pytest.mark.parametrize("n_rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_streamed_file_at_chunk_boundaries(tmp_path, n_rows):
+    params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.3, delta_r=0.5, tau=3.0)
+    traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 0.01 * (n_rows - 1), sample_stride=1)
+    path = tmp_path / "run.csv"
+    assert write_trajectory(path, traj, "csv", ECHO) == len(traj) == n_rows
+    assert path.read_text() == ",".join(OUTPUT_COLUMNS) + "\n" + reference_csv(trajectory_rows(traj).tolist())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unphysical_rows_leave_no_file(tmp_path, fmt):
+    params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.0, delta_r=0.5, tau=3.0)
+    traj = propagate(params, DriveProfile.static(0.2), 0.01, 1.0, sample_stride=1)
+    moments = traj.moments.copy()
+    moments[50, 3] = -0.5  # <b'b> < 0: M < 1 at sample 50
+    bad = Trajectory(times=traj.times, moments=moments, params=params, profile=traj.profile, step=0.01)
+    path = tmp_path / f"run.{fmt}"
+    with pytest.raises(UnphysicalState, match="M below 1"):
+        write_trajectory(path, bad, fmt, ECHO)
+    assert not path.exists()

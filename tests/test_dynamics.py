@@ -386,11 +386,20 @@ class TestExpm:
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, qbattery.cli; print('scipy' in sys.modules)"
+def run_fresh(code):
+    """What ``code`` prints in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds qbattery as this run does
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert run_fresh("import sys, qbattery.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_format_tables_unbuilt():
+    # the CSV writer builds its tables on first use, so importing the CLI does not pay for them
+    assert run_fresh("import qbattery.cli as cli; print(cli._format_tables.cache_info().currsize)") == "0"
 
 
 def squeezed_displaced(alpha, beta):

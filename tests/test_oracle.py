@@ -14,8 +14,16 @@ from qbattery.oracle import (
     _LindbladAction,
     dense_evolve,
     extract_moments,
-    mode_operators,
 )
+
+
+def mode_operators(n_a, n_b):
+    """Dense annihilation operators and their adjoints on the joint truncated space."""
+    low_a = np.diag(np.sqrt(np.arange(1, n_a)), 1)
+    low_b = np.diag(np.sqrt(np.arange(1, n_b)), 1)
+    a = np.kron(low_a, np.eye(n_b))
+    b = np.kron(np.eye(n_a), low_b)
+    return {"a": a, "b": b, "ad": a.conj().T, "bd": b.conj().T}
 
 
 def coherent_vector(alpha, n):
