@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, energetics, oracle
 from .cd_control import cd_hamiltonian_closed, propagate_unitary
-from .dynamics import Trajectory, default_step, integrate, propagate
+from .dynamics import MomentState, Trajectory, default_step, integrate, propagate
 from .errors import ConfigError, QBatteryError
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -29,22 +29,7 @@ __all__ = ["OUTPUT_COLUMNS", "RunConfig", "load_config", "main", "selftest_repor
 OUTPUT_COLUMNS = (
     "t",
     "g_tau",
-    "a_mean_re",
-    "a_mean_im",
-    "b_mean_re",
-    "b_mean_im",
-    "na_re",
-    "na_im",
-    "nb_re",
-    "nb_im",
-    "ab_dag_re",
-    "ab_dag_im",
-    "a_sq_re",
-    "a_sq_im",
-    "b_sq_re",
-    "b_sq_im",
-    "ab_re",
-    "ab_im",
+    *(f"{field.name}_{part}" for field in dataclasses.fields(MomentState) for part in ("re", "im")),
     "e_b_over_omega0",
     "ergotropy_b_over_omega0",
     "e_a_over_omega0",

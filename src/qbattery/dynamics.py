@@ -1,28 +1,28 @@
-"""Closed moment equations of the driven, damped two-oscillator system.
+"""Gaussian dynamics of the driven, damped two-oscillator system.
 
-The Gaussian dynamics is captured exactly by two first moments and six
-second moments. Their equations of motion follow from the adjoint master
-equation with drive Hamiltonian F(t) a^dag + F*(t) a and single-mode
-damping/pumping on the charger; the three quadrature moments <a^2>, <b^2>,
-<ab> close the set needed by the ergotropy formula. With a complex
-counterdiabatic field the drive term in d<a^dag a>/dt carries the conjugate
-field, -2 Im[F* <a>]; the brute-force density-matrix oracle pins this
-convention down.
+In the real basis r = (Re a, Im a, Re b, Im b), with x = (a + a^dag)/2 and
+p = (a - a^dag)/2i for each mode, the means mu and the normal-ordered
+covariance Sigma = sigma - I/4, sigma_ij = <{dr_i, dr_j}>/2, obey
 
-The equations are real-affine: on x = [Re y, Im y, 1], dx/dt = A(t) x with
-the 17x17 generator A = A_g + Re F A_re + Im F A_im (sources in the last
-column). Two engines solve them on one sample grid (:func:`sample_grid`):
+    dmu/dt = A mu + b(F),    dSigma/dt = A Sigma + Sigma A^T + D.
 
-* :func:`propagate`, the engine of the CLI, is exact. Within a leg every
-  drive is a sum of the harmonics {0, +-2i omega_env}, so the means plus those
-  harmonics form a constant-coefficient system, and the centered second
-  moments, which the drive never enters, form another. One matrix
-  exponential per leg carries both to every retained sample.
-* :func:`integrate` is classical RK4, kept as the independent cross-check. A
-  step is the affine map P = I + h/6 (A1 + 2 K2 + 2 K3 + K4), K2 = A2 (I +
-  h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), with A1, A2, A4 taken at
-  t, t + h/2, t + h; the maps of a block of steps are built with array
-  operations, then applied step by step.
+:func:`drift`, :func:`diffusion` and :func:`drive_column` are the one
+definition of the model. The moments of a :class:`Trajectory` are entries of
+R = Sigma + mu mu^T, e.g. <a^dag a> = R00 + R11; symmetric 4x4 matrices are
+packed as their 10 upper-triangle entries. Two engines share one sample grid
+(:func:`sample_grid`):
+
+* :func:`propagate`, the engine of the CLI, is exact. Every drive is a sum of
+  the harmonics {0, +-2i omega_env}, so within a leg the 17 entries
+  [mu, cos 2 omega_env t, sin 2 omega_env t, Sigma, 1] obey a constant linear
+  system, and one matrix exponential per leg reaches every retained sample.
+* :func:`integrate` is classical RK4 on the 15 entries [mu, R, 1], kept as
+  the independent cross-check. Each step is an affine map; the maps of a
+  block of steps are built with array operations, then applied in turn.
+
+Every retained sample must be finite and bona fide: sigma + i Omega/2 >= -tol I
+in units where the vacuum covariance is I/2 (Serafini, Quantum Continuous
+Variables, 2017, ch. 3).
 """
 
 import functools
@@ -36,43 +36,118 @@ from .cd_control import drive_field, drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams
 
-__all__ = [
-    "MomentState",
-    "Trajectory",
-    "default_step",
-    "integrate",
-    "max_step",
-    "moment_rhs",
-    "propagate",
-]
+__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate"]
 
-#: absolute tolerance for physicality checks on stored samples
+#: absolute tolerance on the smallest eigenvalue of sigma + i Omega/2 (vacuum sigma = I/2)
 PHYSICALITY_TOL = 1e-9
 
-#: RK4 steps whose maps are built together. It bounds the (block, 17, 17) work
+#: RK4 steps whose maps are built together. It bounds the (block, 15, 15) work
 #: arrays: at 64 each passes 128 KiB and map building slows by about half.
 BLOCK_STEPS = 32
 
-# layout of the internal state vector
-_A, _B, _NA, _NB, _ABD, _A2, _B2, _AB = range(8)
-_DIM = 17  # real state [Re y, Im y, 1]
+#: packed symmetric 4x4 matrix: entry k is (_ROW[k], _COL[k]) of the upper triangle. Packed
+#: matrices and means are passed component first, one array of samples per entry.
+_ROW, _COL = np.triu_indices(4)
+_UNIT = np.zeros((10, 4, 4))  # the symmetric matrix of each packed entry
+_UNIT[range(10), _ROW, _COL] = _UNIT[range(10), _COL, _ROW] = 1.0
 
 
-@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
-def _check_physical(m: np.ndarray, tol: float, times: np.ndarray | None = None) -> None:
-    """Raise :class:`InvariantViolation` at the first non-finite or unphysical row of ``m``.
+def drift(g: float, gamma: float) -> np.ndarray:
+    """Drift A of d<r>/dt = A <r>: d<a>/dt = -i g <b> - gamma/2 <a>, d<b>/dt = -i g <a>."""
+    k = -0.5 * gamma
+    return np.array([[k, 0.0, 0.0, g], [0.0, k, -g, 0.0], [0.0, g, 0.0, 0.0], [-g, 0.0, 0.0, 0.0]])
 
-    The message names the row's sample index and time when ``times`` is given.
+
+def diffusion(params: ModelParams) -> np.ndarray:
+    """Packed D of dSigma/dt: the bath feeds gamma nbar/2 into each charger quadrature."""
+    return 0.5 * params.gamma * params.nbar * np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 0, 0])
+
+
+def drive_column(f) -> np.ndarray:
+    """b(F), one row per field: d<a>/dt gains -i F, so Re <a> gains Im F and Im <a> gains -Re F.
+
+    The dense oracle pins this sign down, also for a complex counterdiabatic field.
     """
-    na, nb = m[:, _NA].real, m[:, _NB].real
+    f = np.asarray(f, dtype=complex)
+    b = np.zeros(f.shape + (4,))
+    b[..., 0], b[..., 1] = f.imag, -f.real
+    return b
+
+
+def _lyapunov(a: np.ndarray) -> np.ndarray:
+    """(10, 10) map of packed X to packed A X + X A^T."""
+    au = a @ _UNIT  # U A^T = (A U)^T for each symmetric unit matrix U
+    return (au + au.transpose(0, 2, 1))[:, _ROW, _COL].T
+
+
+def _centered(r, mu) -> list:
+    """Packed Sigma = R - mu mu^T, entry by entry."""
+    return [x - mu[i] * mu[j] for x, i, j in zip(r, _ROW, _COL)]
+
+
+def _split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, packed R) of the moments ``y`` (8 or (n, 8)); :func:`_raw_moments` is its inverse."""
+    a, b, na, nb, c, a2, b2, ab = y.T
+    na, nb = na.real, nb.real
+    mu = np.array([a.real, a.imag, b.real, b.imag])
+    r = [na + a2.real, a2.imag, c.real + ab.real, ab.imag - c.imag, na - a2.real,
+         ab.imag + c.imag, c.real - ab.real, nb + b2.real, b2.imag, nb - b2.real]
+    return mu, 0.5 * np.array(r)
+
+
+def _raw_moments(mu, r) -> np.ndarray:
+    """(n, 8) complex moments of n samples of mu and packed R, written in one pass of real arithmetic."""
+    out = np.empty((len(mu[0]), 8), dtype=complex)
+    re, im = out.real, out.imag
+    r00, r01, r02, r03, r11, r12, r13, r22, r23, r33 = r
+    re[:, 0], im[:, 0], re[:, 1], im[:, 1] = mu
+    re[:, 2], re[:, 3], im[:, 2:4] = r00 + r11, r22 + r33, 0.0
+    re[:, 4], im[:, 4] = r02 + r13, r12 - r03
+    re[:, 5], im[:, 5] = r00 - r11, 2.0 * r01
+    re[:, 6], im[:, 6] = r22 - r33, 2.0 * r23
+    re[:, 7], im[:, 7] = r02 - r13, r03 + r12
+    return out
+
+
+def _bona_fide(sigma, tol: float) -> np.ndarray:
+    """Samples of packed Sigma where H = sigma + i Omega/4 + tol/2 I is positive definite.
+
+    H is half of 2 sigma + i Omega/2 + tol I. With its charger block P, battery
+    block T and real cross block Q, H > 0 iff P > 0 and the Schur complement
+    T - Q^T P^-1 Q > 0. Each is a 2x2 block S + i y J, J = [[0, 1], [-1, 0]],
+    which is positive definite iff S00 > 0 and det S > y^2; as Q^T J Q = det Q J,
+    the complement is det P^-1 (det P T_re - Q^T adj(P_re) Q) + i (det P + det Q)/(4 det P) J.
+    Elementwise, with no eigensolver.
+    """
+    d = 0.25 + 0.5 * tol  # sigma = Sigma + I/4
+    s00, s01, u0, w0, s11, u1, w1, t00, t01, t11 = sigma
+    s00, s11, t00, t11 = s00 + d, s11 + d, t00 + d, t11 + d
+    det_p = s00 * s11 - s01 * s01 - 0.0625
+    ku0, ku1 = s11 * u0 - s01 * u1, s00 * u1 - s01 * u0  # adj(P_re) times the columns u, w of Q
+    kw0, kw1 = s11 * w0 - s01 * w1, s00 * w1 - s01 * w0
+    x00 = det_p * t00 - (u0 * ku0 + u1 * ku1)
+    x11 = det_p * t11 - (w0 * kw0 + w1 * kw1)
+    x01 = det_p * t01 - (w0 * ku0 + w1 * ku1)
+    y = 0.25 * (det_p + u0 * w1 - u1 * w0)
+    return (s00 > 0.0) & (det_p > 0.0) & (x00 > 0.0) & (x00 * x11 - x01 * x01 > y * y)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
+def _check_physical(m: np.ndarray, sigma, tol: float, times: np.ndarray | None = None) -> None:
+    """Raise :class:`InvariantViolation` at the first row of moments ``m`` that is non-finite or not bona fide.
+
+    ``sigma`` holds the rows' packed normal-ordered covariances. The message
+    names the row's sample index and time when ``times`` is given.
+    """
     checks = {
-        "non-finite moment": ~np.isfinite(m).all(axis=1),
-        "negative occupation": (na < -tol) | (nb < -tol),
-        "centered charger occupation negative": na < np.abs(m[:, _A]) ** 2 - tol,
-        "centered battery occupation negative": nb < np.abs(m[:, _B]) ** 2 - tol,
-        "cross moment violates Cauchy-Schwarz": np.abs(m[:, _ABD]) ** 2 > na * (nb + 1.0) + tol,
+        "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
+        "covariance breaks the uncertainty principle": ~_bona_fide(sigma, tol),
     }
-    raise_first_failure(checks, times, InvariantViolation, lambda i: f"na={na[i]}, nb={nb[i]}")
+
+    def centered(i):
+        return f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}"
+
+    raise_first_failure(checks, times, InvariantViolation, centered)
 
 
 def raise_first_failure(checks: dict, times, error: type, detail) -> None:
@@ -110,104 +185,16 @@ class MomentState:
 
     @classmethod
     def from_array(cls, y: np.ndarray) -> "MomentState":
-        return cls(
-            a_mean=complex(y[_A]),
-            b_mean=complex(y[_B]),
-            na=float(y[_NA].real),
-            nb=float(y[_NB].real),
-            ab_dag=complex(y[_ABD]),
-            a_sq=complex(y[_A2]),
-            b_sq=complex(y[_B2]),
-            ab=complex(y[_AB]),
-        )
+        a, b, na, nb, ab_dag, a_sq, b_sq, ab = y
+        return cls(complex(a), complex(b), float(na.real), float(nb.real), complex(ab_dag),
+                   complex(a_sq), complex(b_sq), complex(ab))
 
+    @np.errstate(invalid="ignore", over="ignore")  # as _check_physical
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
-        """Raise :class:`InvariantViolation` if physicality fails beyond ``tol``."""
-        _check_physical(self.as_array()[None, :], tol)
-
-
-def _rhs(y: np.ndarray, s, g: float, f, params: ModelParams) -> np.ndarray:
-    """Moment derivatives of the rows ``y[..., :8]``, with the sources scaled by ``s``.
-
-    ``f`` is a complex field, or an array of fields that broadcasts against the rows.
-
-    ``s = 1`` gives the equations of motion. Every term is real-linear in
-    (Re y, Im y, s) and, separately, in f.
-    """
-    gamma = params.gamma
-    a, b = y[..., _A], y[..., _B]
-    na, nb = y[..., _NA].real, y[..., _NB].real
-    abd, a2, b2, ab = y[..., _ABD], y[..., _A2], y[..., _B2], y[..., _AB]
-    dy = np.empty(y.shape, dtype=complex)
-    dy[..., _A] = -1j * (g * b + f * s) - 0.5 * gamma * a
-    dy[..., _B] = -1j * g * a
-    dy[..., _NA] = -2.0 * g * abd.imag - 2.0 * (f.conjugate() * a).imag - gamma * (na - params.nbar * s)
-    dy[..., _NB] = 2.0 * g * abd.imag
-    dy[..., _ABD] = 1j * (g * (na - nb) - f * b.conjugate()) - 0.5 * gamma * abd
-    dy[..., _A2] = -2j * (g * ab + f * a) - gamma * a2
-    dy[..., _B2] = -2j * g * ab
-    dy[..., _AB] = -1j * (g * (a2 + b2) + f * b) - 0.5 * gamma * ab
-    return dy
-
-
-def _rhs_maps(g: float, params: ModelParams) -> np.ndarray:
-    """Flattened rows (A_g, A_re, A_im) of dx/dt = (A_g + Re f A_re + Im f A_im) x.
-
-    Column k of the map A at a constant field f is :func:`_rhs` at the k-th
-    unit vector of x; the maps at f = 0, 1 and i come from one call. No term
-    of :func:`_rhs` mixes f and f-free parts, so the differences are exact.
-    """
-    unit = np.eye(_DIM)
-    y = np.broadcast_to(unit[:, :8] + 1j * unit[:, 8:16], (3, _DIM, 8))
-    dy = _rhs(y, unit[:, 16], g, np.array([0.0, 1.0, 1j])[:, None], params)
-    maps = np.zeros((3, _DIM, _DIM))
-    maps[:, :8] = dy.real.transpose(0, 2, 1)
-    maps[:, 8:16] = dy.imag.transpose(0, 2, 1)
-    maps[1:] -= maps[0]
-    return maps.reshape(3, -1)
-
-
-@functools.cache
-def _unit_maps(signs: tuple) -> np.ndarray:
-    """Read-only :func:`_rhs_maps` at g, gamma, nbar in {+-0, +-1}, each given as (x != 0, copysign(1, x))."""
-    g, gamma, nbar = (math.copysign(float(nonzero), sign) for nonzero, sign in signs)
-    maps = _rhs_maps(g, ModelParams(omega0=1.0, g=0.0, gamma=gamma, nbar=nbar, delta_r=0.0, tau=1.0))
-    maps.flags.writeable = False
-    return maps
-
-
-@functools.cache
-def _monomial_index() -> np.ndarray:
-    """Per map entry, the index in (g, gamma, gamma nbar, 1) of the one product it is linear in."""
-    on = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 1))  # which of g, gamma, nbar are 1 rather than 0
-    base, g, gamma, nbar = (_unit_maps(tuple((x, 1.0) for x in xs)) for xs in on)
-    return np.select([g != base, gamma != base, nbar != gamma], [0, 1, 2], 3)
-
-
-def _generator(g: float, params: ModelParams) -> np.ndarray:
-    """:func:`_rhs_maps` bit for bit, as the unit maps of the parameters' signs scaled entry by entry.
-
-    Each entry is a power of two times one of g, gamma, gamma nbar or 1, and
-    the sign of each zero follows from the parameters' signs and zeros alone.
-    Exceptions: an infinite gamma nbar, and gamma = 5e-324, where 0.5 gamma
-    rounds to a zero of its own sign.
-    """
-    signs = tuple((x != 0.0, math.copysign(1.0, x)) for x in (g, params.gamma, params.nbar))
-    scale = np.array([abs(g), abs(params.gamma), abs(params.gamma * params.nbar), 1.0])
-    return _unit_maps(signs) * scale[_monomial_index()]
-
-
-def moment_rhs(
-    t: float, state: MomentState, params: ModelParams, profile: DriveProfile
-) -> MomentState:
-    """Time derivative of every moment at time ``t``.
-
-    The exchange coupling is on for t in [0, tau] only; the drive field is
-    the (possibly counterdiabatically corrected) amplitude for ``profile``.
-    """
-    g = params.g if 0.0 <= t <= params.tau else 0.0
-    f = complex(drive_field(t, profile, params.delta_r, params.gamma))
-    return MomentState.from_array(_rhs(state.as_array(), 1.0, g, f, params))
+        """Raise :class:`InvariantViolation` if the state is non-finite or not bona fide beyond ``tol``."""
+        y = self.as_array()
+        mu, r = _split(y)
+        _check_physical(y[None, :], np.array(_centered(r, mu))[:, None], tol)
 
 
 class Leg(NamedTuple):
@@ -298,9 +285,29 @@ def check_run(step: float, t_end: float, sample_stride: int):
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
 
-def _trajectory(times, moments, params, profile, step) -> Trajectory:
-    _check_physical(moments, PHYSICALITY_TOL, times)
+def _trajectory(legs, y0, mu, r, sigma, params, profile, step) -> Trajectory:
+    """Checked trajectory of the samples' mu, R and Sigma; its row 0 is the initial moments ``y0`` as given."""
+    times, moments = grid_times(legs), _raw_moments(mu, r)
+    moments[0] = y0
+    _check_physical(moments, sigma, PHYSICALITY_TOL, times)
     return Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
+
+
+def _rk4_generator(g: float, params: ModelParams) -> np.ndarray:
+    """Flattened (G0, G_re, G_im) of dx/dt = (G0 + Re F G_re + Im F G_im) x on x = [mu, R, 1].
+
+    dR/dt = A R + R A^T + D + b mu^T + mu b^T, as R = Sigma + mu mu^T.
+    """
+    a = drift(g, params.gamma)
+    gen = np.zeros((3, 15, 15))
+    gen[0, :4, :4] = a
+    gen[0, 4:14, 4:14] = _lyapunov(a)
+    gen[0, 4:14, 14] = diffusion(params)
+    for out, b in zip(gen[1:], drive_column([1.0, 1j])):
+        out[:4, 14] = b
+        bu = b[:, None] * np.eye(4)[:, None, :]  # [m, i, j] = b_i delta_jm
+        out[4:14, :4] = (bu + bu.transpose(0, 2, 1))[:, _ROW, _COL].T  # R_ij gains b_i mu_j + mu_i b_j
+    return gen.reshape(3, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
@@ -324,8 +331,8 @@ def integrate(
     StepTooLarge
         If ``step`` exceeds 0.05/max(omega_env, g, gamma, omega0).
     InvariantViolation
-        If a retained sample is non-finite or breaks physicality beyond
-        tolerance (named with its index and time), which signals integrator
+        If a retained sample is non-finite or not bona fide beyond tolerance
+        (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
     check_run(step, t_end, sample_stride)
@@ -334,19 +341,19 @@ def integrate(
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
     legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState()).as_array()
-    x = np.concatenate([y0.real, y0.imag, [1.0]])
-    eye = np.eye(_DIM)
+    x = np.concatenate([*_split(y0), [1.0]])
+    eye = np.eye(len(x))
     states = [x]
     for leg in legs:
         h = leg.h
         keep = np.zeros(leg.n_steps + 1, dtype=bool)
         keep[leg.kept] = True
-        gen = _generator(params.g * leg.window, params)
+        gen = _rk4_generator(params.g * leg.window, params)
         for k0 in range(0, leg.n_steps, BLOCK_STEPS):
             t = leg.t_start + np.arange(k0, min(k0 + BLOCK_STEPS, leg.n_steps)) * h
             f = drive_field(np.stack([t, t + 0.5 * h, t + h]), profile, params.delta_r, params.gamma)
             coef = np.stack([np.ones(f.shape), f.real, f.imag], axis=-1)
-            a1, a2, a4 = (coef @ gen).reshape(3, len(t), _DIM, _DIM)
+            a1, a2, a4 = (coef @ gen).reshape(3, len(t), len(x), len(x))
             k2 = a2 @ (eye + (0.5 * h) * a1)
             k3 = a2 @ (eye + (0.5 * h) * k2)
             k4 = a4 @ (eye + h * k3)
@@ -356,9 +363,9 @@ def integrate(
                 if keep[k]:
                     states.append(x)
 
-    xs = np.array(states)
-    moments = xs[:, :8] + 1j * xs[:, 8:16]
-    return _trajectory(grid_times(legs), moments, params, profile, step)
+    xs = np.array(states).T
+    mu, r = xs[:4], xs[4:14]
+    return _trajectory(legs, y0, mu, r, _centered(r, mu), params, profile, step)
 
 
 #: coefficients c_k of the [6/6] Pade approximant to exp, sum c_k x^k / sum c_k (-x)^k
@@ -415,42 +422,21 @@ def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np
     return states, np.linalg.matrix_power(e, leg.n_steps - int(j[-1])) @ last
 
 
-def _mean_part(a, b) -> np.ndarray:
-    """Moments of the coherent state with means ``a``, ``b``: raw minus centered moments."""
-    na, nb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
-    return np.stack([a, b, na, nb, a * b.conj(), a * a, b * b, a * b], axis=-1)
-
-
-# Re <a>, Re <b>, Im <a>, Im <b>: their block in x; in v, their rows with the columns
-# of the means and of the real and imaginary parts of the harmonics
-_X_MEANS = np.ix_([_A, _B, 8 + _A, 8 + _B], [_A, _B, 8 + _A, 8 + _B])
-_V_MEANS, _V_RE_HARMONICS, _V_IM_HARMONICS = (
-    np.ix_([0, 1, 5, 6], cols) for cols in ([0, 1, 5, 6], [2, 3, 4], [7, 8, 9])
-)
-
-
 def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np.ndarray:
-    """27x27 real generator of v = [Re z, Im z, x_c] within one leg.
+    """17x17 generator of v = [mu, cos 2wt, sin 2wt, Sigma, 1] within one leg, w = omega_env.
 
-    z = [<a>, <b>, 1, e^{2iwt}, e^{-2iwt}] carries the means, driven by the
-    harmonics of F; x_c is the real state of the centered second moments,
-    which obey the undriven equations with the n_bar source. Every coupling
-    is read off :func:`_generator`, so :func:`_rhs` stays the one definition
-    of the equations. Real arithmetic throughout keeps to the BLAS and LAPACK
-    routines the rest of the package already loads.
+    F = c0 + c+ e^{2iwt} + c- e^{-2iwt} = c0 + (c+ + c-) cos 2wt + i (c+ - c-) sin 2wt,
+    so b(F) is a fixed combination of the harmonics and the constant entry.
     """
-    a_g, a_re, a_im = _generator(g, params).reshape(3, _DIM, _DIM)
-    # F = sum_k c_k h_k over the harmonics h = [1, e^{2iwt}, e^{-2iwt}]
-    c = np.array(drive_harmonics(profile, params.delta_r, params.gamma))
-    r_re, r_im = a_re[_X_MEANS[0], -1], a_im[_X_MEANS[0], -1]  # responses to Re F = 1 and to Im F = 1
+    a = drift(g, params.gamma)
+    c0, cp, cm = drive_harmonics(profile, params.delta_r, params.gamma)
     w2 = 2.0 * profile.omega_env
-    out = np.zeros((10 + _DIM, 10 + _DIM))
-    out[_V_MEANS] = a_g[_X_MEANS]
-    out[_V_RE_HARMONICS] = r_re * c.real + r_im * c.imag
-    out[_V_IM_HARMONICS] = r_im * c.real - r_re * c.imag
-    out[3, 8], out[8, 3] = -w2, w2  # d/dt e^{2iwt} = 2iw e^{2iwt}
-    out[4, 9], out[9, 4] = w2, -w2
-    out[10:, 10:] = a_g
+    out = np.zeros((17, 17))
+    out[:4, :4] = a
+    out[:4, [16, 4, 5]] = drive_column([c0, cp + cm, 1j * (cp - cm)]).T
+    out[4, 5], out[5, 4] = -w2, w2
+    out[6:16, 6:16] = _lyapunov(a)
+    out[6:16, 16] = diffusion(params)
     return out
 
 
@@ -467,10 +453,10 @@ def propagate(
 
     Takes no RK4 steps: each leg's generator (:func:`_exact_generator`) is
     exponentiated once over one step h, and the retained samples are reached
-    through powers of that map. Means and centered second moments are
-    propagated; the raw moments are rebuilt per sample, e.g. <a^dag a> =
-    n_c + |<a>|^2. Sample times and the checks on the result are those of
-    :func:`integrate`; being exact, it has no step cap.
+    through powers of that map. Means and the normal-ordered covariance are
+    propagated; the raw moments are rebuilt from R = Sigma + mu mu^T. Sample
+    times and the checks on the result are those of :func:`integrate`; being
+    exact, it has no step cap.
 
     Raises
     ------
@@ -480,17 +466,15 @@ def propagate(
     check_run(step, t_end, sample_stride)
     legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState()).as_array()
-    yc = y0 if initial is None else y0 - _mean_part(y0[_A], y0[_B])  # the vacuum's mean part is +0
-    z = np.array([y0[_A], y0[_B], 1.0, 1.0, 1.0])  # the harmonics are 1 at t = 0
-    v = np.concatenate([z.real, z.imag, yc.real, yc.imag, [1.0]])
-    blocks = []
+    mu, r = _split(y0)
+    v = np.concatenate([mu, [1.0, 0.0], _centered(r, mu), [1.0]])  # cos = 1, sin = 0 at t = 0
+    blocks = [v[None]]
     for leg in legs:
         e = expm(_exact_generator(params.g * leg.window, params, profile) * leg.h)
         states, v = _leg_states(e, v, leg, sample_stride)
         blocks.append(states)
 
-    vs = np.concatenate(blocks) if blocks else np.empty((0, 10 + _DIM))
-    a, b, xc = vs[:, 0] + 1j * vs[:, 5], vs[:, 1] + 1j * vs[:, 6], vs[:, 10:]
-    # the mean entries of x_c stay zero
-    moments = np.vstack([y0, xc[:, :8] + 1j * xc[:, 8:16] + _mean_part(a, b)])
-    return _trajectory(grid_times(legs), moments, params, profile, step)
+    vs = np.concatenate(blocks).T
+    mu, sigma = vs[:4], vs[6:16]
+    r = [x + mu[i] * mu[j] for x, i, j in zip(sigma, _ROW, _COL)]
+    return _trajectory(legs, y0, mu, r, sigma, params, profile, step)

@@ -9,16 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moment_reference import moment_rhs, rhs as reference_rhs
 from qbattery.dynamics import (
     BLOCK_STEPS,
+    PHYSICALITY_TOL,
     MomentState,
-    _generator,
-    _rhs_maps,
+    _centered,
+    _check_physical,
+    _raw_moments,
+    _rk4_generator,
+    _split,
     expm,
     grid_times,
     integrate,
     max_step,
-    moment_rhs,
     propagate,
     sample_grid,
 )
@@ -130,14 +134,29 @@ def box(*edges, hi):
     return st.sampled_from([0.0, -0.0, *edges]) | st.floats(0.0, hi, allow_subnormal=False)
 
 
+unit = st.floats(-2.0, 2.0)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(g=box(0.5, hi=0.5), gamma=box(0.05, 1.0, hi=1.0), nbar=box(1.0, hi=1.0), window=st.sampled_from([0.0, 1.0]))
-def test_generator_is_rhs_maps_bit_for_bit(g, gamma, nbar, window):
-    # raw bits: %.16e writes -0.0 and 0.0 differently, and np.array_equal calls them equal.
-    # At gamma = 5e-324, 0.5 gamma rounds to a zero whose sign the product does not follow.
+@given(
+    g=box(0.5, hi=0.5),
+    gamma=box(0.05, 1.0, hi=1.0),
+    nbar=box(1.0, hi=1.0),
+    window=st.sampled_from([0.0, 1.0]),
+    parts=st.lists(unit, min_size=16, max_size=16),
+    field=st.tuples(unit, unit),
+)
+def test_generator_matches_reference_rhs(g, gamma, nbar, window, parts, field):
+    # the (A, D, b) generator on x = [mu, R, 1], read back as moments, is the term-by-term derivative
     p = params(g=g, gamma=gamma, nbar=nbar)
-    direct = _rhs_maps(g * window, p)
-    assert np.array_equal(_generator(g * window, p).view(np.uint64), direct.view(np.uint64))
+    y = np.array(parts[:8]) + 1j * np.array(parts[8:])
+    y[2:4] = y[2:4].real  # occupations are real
+    f = complex(*field)
+    g0, g_re, g_im = _rk4_generator(g * window, p).reshape(3, 15, 15)
+    dx = (g0 + f.real * g_re + f.imag * g_im) @ np.concatenate([*_split(y), [1.0]])
+    got = _raw_moments(dx[:4, None], dx[4:14, None])[0]
+    want = reference_rhs(y, g * window, f, p)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(y))))
 
 
 class TestMomentRhs:
@@ -265,11 +284,12 @@ class TestIntegrate:
             integrate(params(), DriveProfile.off(), 0.01, 0.5, initial=bad)
 
     def test_invariant_violation_names_first_bad_sample(self):
-        # |<a b^dag>|^2 <= na (nb + 1) holds at t = 0, but nb = 0 forbids any
-        # cross moment, so the exchange drives nb negative within one step
-        start = MomentState(na=1.0, ab_dag=-0.9j)
-        with pytest.raises(InvariantViolation, match=r"sample 1 at t=0\.01: negative occupation"):
-            integrate(params(g=0.5), DriveProfile.off(), 0.01, 1.0, initial=start)
+        # rows 0 and 1 are physical; row 2 squeezes beyond the uncertainty bound, row 3 is worse
+        states = [MomentState(), coherent_pair(0.3j, 0.5), MomentState(a_sq=0.5), MomentState(na=-1.0)]
+        y = np.array([s.as_array() for s in states])
+        mu, r = _split(y)
+        with pytest.raises(InvariantViolation, match=r"sample 2 at t=0\.02: covariance breaks the uncertainty"):
+            _check_physical(y, _centered(r, mu), PHYSICALITY_TOL, np.array([0.0, 0.01, 0.02, 0.03]))
 
     def test_invariant_check_rejects_non_finite_moments(self):
         with pytest.raises(InvariantViolation, match="sample 0 at t=0: non-finite"):
@@ -282,6 +302,41 @@ class TestIntegrate:
         nb = traj.moments[:, 3].real
         idx_after = traj.times >= 3.0
         assert np.max(np.abs(nb[idx_after] - nb[idx_after][0])) < 1e-12
+
+
+def reference_min_eigenvalue(y):
+    """Smallest eigenvalue of sigma + i Omega/2 for the moments ``y``, by eigvalsh.
+
+    sigma is the covariance of r = (x_a, p_a, x_b, p_b), x = (a + a^dag)/sqrt2, p = (a - a^dag)/(i sqrt2),
+    so sigma + i Omega/2 = <dr_i dr_j> = L E L^T with E_kl = <d_k d_l> over d = (da, da^dag, db, db^dag).
+    """
+    a, b, na, nb, c, a2, b2, ab = y
+    n_a, n_b = na.real - abs(a) ** 2, nb.real - abs(b) ** 2
+    m_a, m_b, c, d = a2 - a * a, b2 - b * b, c - a * np.conj(b), ab - a * b
+    e = np.array(
+        [
+            [m_a, n_a + 1, d, c],
+            [n_a, np.conj(m_a), np.conj(c), np.conj(d)],
+            [d, np.conj(c), m_b, n_b + 1],
+            [c, np.conj(d), n_b, np.conj(m_b)],
+        ]
+    )
+    quad = np.array([[1, 1], [-1j, 1j]]) / math.sqrt(2.0)
+    lmat = np.kron(np.eye(2), quad)
+    return float(np.linalg.eigvalsh(lmat @ e @ lmat.T)[0])
+
+
+def squeezed(r, phi):
+    """Squeezed vacuum S(r e^{i phi})|0>: <a^2> = -e^{i phi} sinh r cosh r, <a^dag a> = sinh^2 r."""
+    return -np.exp(1j * phi) * math.sinh(r) * math.cosh(r), math.sinh(r) ** 2
+
+
+PURE_STATES = {
+    "vacuum": MomentState(),
+    "coherent_pair": coherent_pair(0.8 - 0.3j, -0.2 + 1.1j),
+    "single_mode_squeezed": MomentState(a_sq=squeezed(1.2, 0.7)[0], na=squeezed(1.2, 0.7)[1]),
+    "two_mode_squeezed": MomentState(ab=squeezed(1.0, -0.4)[0], na=squeezed(1.0, -0.4)[1], nb=squeezed(1.0, -0.4)[1]),
+}
 
 
 class TestMomentStateValidate:
@@ -303,6 +358,45 @@ class TestMomentStateValidate:
     def test_rejects_non_finite(self, state):
         with pytest.raises(InvariantViolation, match="non-finite"):
             state.validate()
+
+    @pytest.mark.parametrize(
+        "state",
+        [MomentState(a_sq=0.5 + 0j), MomentState(na=0.1, nb=0.1, ab=0.5 + 0j)],
+        ids=["squeezed_beyond_bound", "entangled_beyond_bound"],
+    )
+    def test_rejects_states_that_break_the_uncertainty_principle(self, state):
+        assert reference_min_eigenvalue(state.as_array()) < -0.1
+        with pytest.raises(InvariantViolation, match="uncertainty principle"):
+            state.validate()
+
+    @pytest.mark.parametrize("state", sorted(PURE_STATES))
+    def test_accepts_pure_states(self, state):
+        y = PURE_STATES[state]
+        assert abs(reference_min_eigenvalue(y.as_array())) < 1e-12  # on the boundary
+        y.validate()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=14, max_size=14),
+        side=st.sampled_from([-1.0, 1.0]),
+        excess=st.floats(0.01, 2.0),
+    )
+    def test_bona_fide_check_matches_eigenvalues(self, parts, side, excess):
+        # shifting both occupations by s shifts sigma + i Omega/2 by s I: put its smallest
+        # eigenvalue at -tol (1 -+ excess), on either side of the acceptance bound
+        alpha, beta, c, m_a, m_b, d = (complex(parts[k], parts[k + 1]) for k in range(0, 12, 2))
+        y = np.array([alpha, beta, parts[12] + abs(alpha) ** 2, parts[13] + abs(beta) ** 2,
+                      c + alpha * beta.conjugate(), m_a + alpha**2, m_b + beta**2, d + alpha * beta])
+        target = -PHYSICALITY_TOL * (1.0 - side * excess)
+        y[2:4] += target - reference_min_eigenvalue(y)
+        lowest = reference_min_eigenvalue(y)
+        assert abs(lowest - target) < 1e-3 * PHYSICALITY_TOL
+        state = MomentState.from_array(y)
+        if lowest >= -PHYSICALITY_TOL:
+            state.validate()
+        else:
+            with pytest.raises(InvariantViolation, match="uncertainty principle"):
+                state.validate()
 
 
 def reference_times(step, t_end, tau, stride):
@@ -451,13 +545,16 @@ class TestExactPropagator:
         assert np.array_equal(traj.moments[0], start.as_array())
 
     def test_zero_temperature_stays_coherent(self):
-        # the centered block of a T = 0 run from the vacuum stays exactly zero
+        # the covariance of a T = 0 run from the vacuum stays exactly the vacuum's, so the
+        # raw moments are the mean products (real products: numpy's complex multiply may fuse)
         p = params(g=0.2, gamma=0.05, tau=15.0)
         traj = propagate(p, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 15.0, 5)
-        a, b = traj.moments[:, 0], traj.moments[:, 1]
-        assert np.array_equal(traj.moments[:, 2].real, a.real**2 + a.imag**2)
-        assert np.array_equal(traj.moments[:, 5], a * a)
-        assert np.array_equal(traj.moments[:, 4], a * b.conj())
+        (ar, br), (ai, bi) = traj.moments[:, :2].real.T, traj.moments[:, :2].imag.T
+        assert np.array_equal(traj.moments[:, 2].real, ar * ar + ai * ai)
+        assert np.array_equal(traj.moments[:, 5].real, ar * ar - ai * ai)
+        assert np.array_equal(traj.moments[:, 5].imag, 2.0 * (ar * ai))
+        assert np.array_equal(traj.moments[:, 4].real, ar * br + ai * bi)
+        assert np.array_equal(traj.moments[:, 4].imag, ai * br - ar * bi)
 
     def test_steps_beyond_the_rk4_cap_stay_exact(self):
         # fig3's physics at step 0.2, 4x integrate's cap 0.05: the samples of step 0.01, stride 20

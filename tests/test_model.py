@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from moment_reference import moment_rhs
 from qbattery.errors import ConfigError
-from qbattery.dynamics import MomentState, moment_rhs
+from qbattery.dynamics import MomentState
 from qbattery.model import DriveKind, DriveProfile, ModelParams, bose_occupation, envelope
 
 

@@ -1,0 +1,46 @@
+"""The names the benchmark in ``perfbench/`` reaches into keep resolving.
+
+perfbench wraps every (module, attribute) of ``perfbench/spans.py`` ``TARGETS``
+from outside the package, methods through their class ``__dict__``, and reads
+the oracle's moments as ``oracle.extract_moments(state).as_array()``. Moving
+or renaming one of these breaks traced benchmark runs and perfbench's own
+selftest, so it fails here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from qbattery import oracle
+from qbattery.dynamics import MomentState
+from qbattery.model import DriveProfile, ModelParams
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def trace_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_every_trace_target_resolves():
+    missing = []
+    for module, attr in trace_targets():
+        mod = importlib.import_module(f"qbattery.{module}")
+        cls_name, _, method = attr.rpartition(".")
+        owner = vars(getattr(mod, cls_name)) if cls_name else vars(mod)
+        if not callable(owner.get(method)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_extract_moments_returns_a_moment_state():
+    p = ModelParams(omega0=1.0, g=0.2, gamma=0.3, nbar=0.0, delta_r=0.0, tau=1.0)
+    dense = oracle.dense_evolve(p, DriveProfile.static(0.2), cutoffs=(6, 6), step=0.01, t_end=0.02, sample_stride=1)
+    state = oracle.extract_moments(dense.states[-1])
+    assert isinstance(state, MomentState)
+    assert state.as_array().shape == (8,) and np.all(np.isfinite(state.as_array()))
