@@ -179,10 +179,9 @@ def validate_against_numerics(
     params: ModelParams,
     profile: DriveProfile,
     t_end: float = 15.0,
-    step: float | None = None,
     sample_stride: int = 5,
 ) -> ValidationReport:
-    """Rank every candidate reading against the exact moment propagator.
+    """Rank every candidate reading against the exact moment propagator at the default step.
 
     Requires a zero-temperature configuration (the closed form exists only
     there). A reading is verified when its worst alpha deviation over the
@@ -191,9 +190,7 @@ def validate_against_numerics(
     """
     if params.nbar != 0.0:
         raise ValueError("closed-form trajectory exists only at zero temperature")
-    if step is None:
-        step = default_step(params, profile)
-    traj = propagate(params, profile, step, t_end, sample_stride=sample_stride)
+    traj = propagate(params, profile, default_step(params, profile), t_end, sample_stride=sample_stride)
     ts = traj.times
     a_num = traj.moments[:, 0]
     b_num = traj.moments[:, 1]

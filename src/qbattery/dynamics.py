@@ -9,16 +9,15 @@ covariance Sigma = sigma - I/4, sigma_ij = <{dr_i, dr_j}>/2, obey
 :func:`drift`, :func:`diffusion` and :func:`drive_column` are the one
 definition of the model. The moments of a :class:`Trajectory` are entries of
 R = Sigma + mu mu^T, e.g. <a^dag a> = R00 + R11; symmetric 4x4 matrices are
-packed as their 10 upper-triangle entries. Two engines share one sample grid
-(:func:`sample_grid`):
+packed as their 10 upper-triangle entries. Every drive is a sum of the
+harmonics {0, +-2i omega_env}, so within a leg of :func:`sample_grid` the 17
+entries [mu, cos 2 omega_env t, sin 2 omega_env t, Sigma, 1] obey a constant
+linear system, and one step is a constant map. Two engines run the same leg
+loop (:func:`_evolve`) and differ only in that map:
 
-* :func:`propagate`, the engine of the CLI, is exact. Every drive is a sum of
-  the harmonics {0, +-2i omega_env}, so within a leg the 17 entries
-  [mu, cos 2 omega_env t, sin 2 omega_env t, Sigma, 1] obey a constant linear
-  system, and one matrix exponential per leg reaches every retained sample.
-* :func:`integrate` is classical RK4 on the 15 entries [mu, R, 1], kept as
-  the independent cross-check. Each step is an affine map; the maps of a
-  block of steps are built with array operations, then applied in turn.
+* :func:`propagate`, the engine of the CLI, is exact: the map is e^{Mh}.
+* :func:`integrate` is classical RK4 on (mu, Sigma), the drive taken exactly
+  at the stage times, kept as the cross-check of the step rule.
 
 Every retained sample must be finite and bona fide: sigma + i Omega/2 >= -tol I
 in units where the vacuum covariance is I/2 (Serafini, Quantum Continuous
@@ -32,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cd_control import drive_field, drive_harmonics
+from .cd_control import drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -40,10 +39,6 @@ __all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step",
 
 #: absolute tolerance on the smallest eigenvalue of sigma + i Omega/2 (vacuum sigma = I/2)
 PHYSICALITY_TOL = 1e-9
-
-#: RK4 steps whose maps are built together. It bounds the (block, 15, 15) work
-#: arrays: at 64 each passes 128 KiB and map building slows by about half.
-BLOCK_STEPS = 32
 
 #: packed symmetric 4x4 matrix: entry k is (_ROW[k], _COL[k]) of the upper triangle. Packed
 #: matrices and means are passed component first, one array of samples per entry.
@@ -251,7 +246,7 @@ def max_step(params: ModelParams, profile: DriveProfile) -> float:
 
 def default_step(params: ModelParams, profile: DriveProfile) -> float:
     """Integrator step used when a run does not set one."""
-    return min(0.01, 0.5 * 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0))
+    return min(0.01, 0.5 * max_step(params, profile))
 
 
 @dataclass
@@ -265,8 +260,6 @@ class Trajectory:
     times: np.ndarray
     moments: np.ndarray
     params: ModelParams
-    profile: DriveProfile
-    step: float
 
     def __len__(self) -> int:
         return len(self.times)
@@ -283,89 +276,6 @@ def check_run(step: float, t_end: float, sample_stride: int):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-
-
-def _trajectory(legs, y0, mu, r, sigma, params, profile, step) -> Trajectory:
-    """Checked trajectory of the samples' mu, R and Sigma; its row 0 is the initial moments ``y0`` as given."""
-    times, moments = grid_times(legs), _raw_moments(mu, r)
-    moments[0] = y0
-    _check_physical(moments, sigma, PHYSICALITY_TOL, times)
-    return Trajectory(times=times, moments=moments, params=params, profile=profile, step=step)
-
-
-def _rk4_generator(g: float, params: ModelParams) -> np.ndarray:
-    """Flattened (G0, G_re, G_im) of dx/dt = (G0 + Re F G_re + Im F G_im) x on x = [mu, R, 1].
-
-    dR/dt = A R + R A^T + D + b mu^T + mu b^T, as R = Sigma + mu mu^T.
-    """
-    a = drift(g, params.gamma)
-    gen = np.zeros((3, 15, 15))
-    gen[0, :4, :4] = a
-    gen[0, 4:14, 4:14] = _lyapunov(a)
-    gen[0, 4:14, 14] = diffusion(params)
-    for out, b in zip(gen[1:], drive_column([1.0, 1j])):
-        out[:4, 14] = b
-        bu = b[:, None] * np.eye(4)[:, None, :]  # [m, i, j] = b_i delta_jm
-        out[4:14, :4] = (bu + bu.transpose(0, 2, 1))[:, _ROW, _COL].T  # R_ij gains b_i mu_j + mu_i b_j
-    return gen.reshape(3, -1)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
-def integrate(
-    params: ModelParams,
-    profile: DriveProfile,
-    step: float,
-    t_end: float,
-    sample_stride: int = 1,
-    initial: MomentState | None = None,
-) -> Trajectory:
-    """Fixed-step fourth-order Runge-Kutta integration of the moment equations.
-
-    Runs on :func:`sample_grid`, applying each step as an affine map. Starts
-    from the vacuum (all moments zero) unless ``initial`` is supplied, which
-    is meant for validation runs that inject a prepared state. Every
-    ``sample_stride``-th step is retained, plus the final one.
-
-    Raises
-    ------
-    StepTooLarge
-        If ``step`` exceeds 0.05/max(omega_env, g, gamma, omega0).
-    InvariantViolation
-        If a retained sample is non-finite or not bona fide beyond tolerance
-        (named with its index and time), which signals integrator
-        misconfiguration rather than physics.
-    """
-    check_run(step, t_end, sample_stride)
-    cap = max_step(params, profile)
-    if step > cap * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
-    y0 = (initial or MomentState()).as_array()
-    x = np.concatenate([*_split(y0), [1.0]])
-    eye = np.eye(len(x))
-    states = [x]
-    for leg in legs:
-        h = leg.h
-        keep = np.zeros(leg.n_steps + 1, dtype=bool)
-        keep[leg.kept] = True
-        gen = _rk4_generator(params.g * leg.window, params)
-        for k0 in range(0, leg.n_steps, BLOCK_STEPS):
-            t = leg.t_start + np.arange(k0, min(k0 + BLOCK_STEPS, leg.n_steps)) * h
-            f = drive_field(np.stack([t, t + 0.5 * h, t + h]), profile, params.delta_r, params.gamma)
-            coef = np.stack([np.ones(f.shape), f.real, f.imag], axis=-1)
-            a1, a2, a4 = (coef @ gen).reshape(3, len(t), len(x), len(x))
-            k2 = a2 @ (eye + (0.5 * h) * a1)
-            k3 = a2 @ (eye + (0.5 * h) * k2)
-            k4 = a4 @ (eye + h * k3)
-            maps = eye + (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for k, p in enumerate(maps, start=k0 + 1):
-                x = p @ x
-                if keep[k]:
-                    states.append(x)
-
-    xs = np.array(states).T
-    mu, r = xs[:4], xs[4:14]
-    return _trajectory(legs, y0, mu, r, _centered(r, mu), params, profile, step)
 
 
 #: coefficients c_k of the [6/6] Pade approximant to exp, sum c_k x^k / sum c_k (-x)^k
@@ -440,7 +350,88 @@ def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as integrate
+def _rk4_map(gen: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dv/dt = ``gen`` v, the drive taken exactly at t, t + h/2 and t + h.
+
+    G is ``gen`` with its two harmonic rows zeroed, and U_c rotates (cos, sin)
+    exactly by 2 omega_env c h, the rate read off those rows. The step is
+    P = U_1 + h/6 (G + 2 K2 + 2 K3 + K4) with K2 = G U_1/2 (I + h/2 G),
+    K3 = G U_1/2 (I + h/2 K2) and K4 = G U_1 (I + h K3): classical RK4 on
+    (mu, Sigma), as the K rows of the harmonics are zero.
+    """
+    w2 = gen[5, 4]
+    g = gen.copy()
+    g[4:6] = 0.0
+    eye = np.eye(len(g))
+    half, full = eye.copy(), eye.copy()
+    for u, angle in ((half, 0.5 * w2 * h), (full, w2 * h)):
+        c, s = math.cos(angle), math.sin(angle)
+        u[4:6, 4:6] = [[c, -s], [s, c]]
+    g_half = g @ half
+    k2 = g_half @ (eye + (0.5 * h) * g)
+    k3 = g_half @ (eye + (0.5 * h) * k2)
+    k4 = (g @ full) @ (eye + h * k3)
+    return full + (h / 6.0) * (g + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
+def _evolve(leg_map, params, profile, step, t_end, sample_stride, initial) -> Trajectory:
+    """Checked trajectory on :func:`sample_grid`, each leg stepped by ``leg_map(generator, h)``.
+
+    The state is v = [mu, cos 2wt, sin 2wt, Sigma, 1]; powers of the leg's map reach the kept
+    samples, whose raw moments R = Sigma + mu mu^T rebuilds, row 0 as given.
+    """
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
+    y0 = (initial or MomentState()).as_array()
+    mu, r = _split(y0)
+    v = np.concatenate([mu, [1.0, 0.0], _centered(r, mu), [1.0]])  # cos = 1, sin = 0 at t = 0
+    blocks = [v[None]]
+    for leg in legs:
+        e = leg_map(_exact_generator(params.g * leg.window, params, profile), leg.h)
+        states, v = _leg_states(e, v, leg, sample_stride)
+        blocks.append(states)
+
+    vs = np.concatenate(blocks).T
+    mu, sigma = vs[:4], vs[6:16]
+    r = [x + mu[i] * mu[j] for x, i, j in zip(sigma, _ROW, _COL)]
+    times, moments = grid_times(legs), _raw_moments(mu, r)
+    moments[0] = y0
+    _check_physical(moments, sigma, PHYSICALITY_TOL, times)
+    return Trajectory(times=times, moments=moments, params=params)
+
+
+def integrate(
+    params: ModelParams,
+    profile: DriveProfile,
+    step: float,
+    t_end: float,
+    sample_stride: int = 1,
+    initial: MomentState | None = None,
+) -> Trajectory:
+    """Fixed-step classical fourth-order Runge-Kutta integration of the moment equations.
+
+    Runs :func:`propagate`'s state and legs with one RK4 step map per leg
+    (:func:`_rk4_map`) in place of the exact one. Starts from the vacuum (all
+    moments zero) unless ``initial`` is supplied, which is meant for
+    validation runs that inject a prepared state. Every ``sample_stride``-th
+    step is retained, plus the final one.
+
+    Raises
+    ------
+    StepTooLarge
+        If ``step`` exceeds 0.05/max(omega_env, g, gamma, omega0).
+    InvariantViolation
+        If a retained sample is non-finite or not bona fide beyond tolerance
+        (named with its index and time), which signals integrator
+        misconfiguration rather than physics.
+    """
+    check_run(step, t_end, sample_stride)
+    cap = max_step(params, profile)
+    if step > cap * (1.0 + 1e-12):
+        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
+    return _evolve(_rk4_map, params, profile, step, t_end, sample_stride, initial)
+
+
 def propagate(
     params: ModelParams,
     profile: DriveProfile,
@@ -452,11 +443,8 @@ def propagate(
     """Exact solution of the moment equations on the grid of :func:`integrate`.
 
     Takes no RK4 steps: each leg's generator (:func:`_exact_generator`) is
-    exponentiated once over one step h, and the retained samples are reached
-    through powers of that map. Means and the normal-ordered covariance are
-    propagated; the raw moments are rebuilt from R = Sigma + mu mu^T. Sample
-    times and the checks on the result are those of :func:`integrate`; being
-    exact, it has no step cap.
+    exponentiated once over one step h. Sample times and the checks on the
+    result are those of :func:`integrate`; being exact, it has no step cap.
 
     Raises
     ------
@@ -464,17 +452,4 @@ def propagate(
         As :func:`integrate`.
     """
     check_run(step, t_end, sample_stride)
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
-    y0 = (initial or MomentState()).as_array()
-    mu, r = _split(y0)
-    v = np.concatenate([mu, [1.0, 0.0], _centered(r, mu), [1.0]])  # cos = 1, sin = 0 at t = 0
-    blocks = [v[None]]
-    for leg in legs:
-        e = expm(_exact_generator(params.g * leg.window, params, profile) * leg.h)
-        states, v = _leg_states(e, v, leg, sample_stride)
-        blocks.append(states)
-
-    vs = np.concatenate(blocks).T
-    mu, sigma = vs[:4], vs[6:16]
-    r = [x + mu[i] * mu[j] for x, i, j in zip(sigma, _ROW, _COL)]
-    return _trajectory(legs, y0, mu, r, sigma, params, profile, step)
+    return _evolve(lambda gen, h: expm(gen * h), params, profile, step, t_end, sample_stride, initial)

@@ -81,10 +81,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
-    @pytest.mark.parametrize("omega_env,expected", [(0.5, 0.01), (5.0, 0.005)])
-    def test_default_step(self, tmp_path, omega_env, expected):
+    @pytest.mark.parametrize(
+        "profile,omega_env,expected",
+        [("cd_sin_sq", 0.5, 0.01), ("cd_sin_sq", 5.0, 0.005), ("static", 5.0, 0.01)],
+        ids=["0.5-0.01", "5.0-0.005", "static-5.0-0.01"],  # a static drive does not read omega_env
+    )
+    def test_default_step(self, tmp_path, profile, omega_env, expected):
         doc = base_config(tmp_path / "o.csv")
         del doc["numerics"]["step"]
+        doc["drive"]["profile"] = profile
         doc["drive"]["omega_env"] = omega_env
         cfg = parse_config(doc)
         assert cfg.step == default_step(cfg.params, cfg.profile) == expected
