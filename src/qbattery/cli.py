@@ -301,7 +301,7 @@ def _csv_chunks(rows: np.ndarray):
 def trajectory_rows(traj: Trajectory) -> np.ndarray:
     """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
     omega0 = traj.params.omega0
-    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, omega0, traj.times)
+    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, traj.sigma, omega0, traj.times)
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
@@ -438,7 +438,7 @@ def compare_drives(config: RunConfig) -> dict:
     argmax = {}
     for name, profile in partners.items():
         traj = propagate(config.params, profile, config.step, config.t_end, config.sample_stride)
-        erg = energetics.energy_columns(traj.moments, config.params.omega0, traj.times)[1]
+        erg = energetics.energy_columns(traj.moments, traj.sigma, config.params.omega0, traj.times)[1]
         series = erg / config.params.omega0
         k = int(np.argmax(series))
         maxima[name] = float(series[k])

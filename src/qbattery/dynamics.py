@@ -7,20 +7,20 @@ covariance Sigma = sigma - I/4, sigma_ij = <{dr_i, dr_j}>/2, obey
     dmu/dt = A mu + b(F),    dSigma/dt = A Sigma + Sigma A^T + D.
 
 :func:`drift`, :func:`diffusion` and :func:`drive_column` are the one
-definition of the model. The moments of a :class:`Trajectory` are entries of
-R = Sigma + mu mu^T, e.g. <a^dag a> = R00 + R11; symmetric 4x4 matrices are
-packed as their 10 upper-triangle entries. Every drive is a sum of the
-harmonics {0, +-2i omega_env}, so within a leg of :func:`sample_grid` the 17
-entries [mu, cos 2 omega_env t, sin 2 omega_env t, Sigma, 1] obey a constant
-linear system, and one step is a constant map. Two engines run the same leg
-loop (:func:`_evolve`) and differ only in that map:
+definition of the model. A :class:`Trajectory` keeps Sigma, which energetics
+reads, and the moments, entries of R = Sigma + mu mu^T, e.g. <a^dag a> = R00 +
+R11; symmetric 4x4 matrices are packed as their 10 upper-triangle entries.
+Every drive is a sum of the harmonics {0, +-2i omega_env}, so within a leg of
+:func:`sample_grid` the 17 entries [mu, cos 2 omega_env t, sin 2 omega_env t,
+Sigma, 1] obey a constant linear system, and one step is a constant map. Two
+engines run the same leg loop (:func:`_evolve`) and differ only in that map:
 
 * :func:`propagate`, the engine of the CLI, is exact: the map is e^{Mh}.
 * :func:`integrate` is classical RK4 on (mu, Sigma), the drive taken exactly
   at the stage times, kept as the cross-check of the step rule.
 
-Every retained sample must be finite and bona fide: sigma + i Omega/2 >= -tol I
-in units where the vacuum covariance is I/2 (Serafini, Quantum Continuous
+Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
+in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
 Variables, 2017, ch. 3).
 """
 
@@ -37,7 +37,7 @@ from .model import DriveKind, DriveProfile, ModelParams
 
 __all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate"]
 
-#: absolute tolerance on the smallest eigenvalue of sigma + i Omega/2 (vacuum sigma = I/2)
+#: absolute tolerance on the smallest eigenvalue of 2 sigma + i Omega/2 (vacuum sigma = I/4)
 PHYSICALITY_TOL = 1e-9
 
 #: packed symmetric 4x4 matrix: entry k is (_ROW[k], _COL[k]) of the upper triangle. Packed
@@ -75,11 +75,6 @@ def _lyapunov(a: np.ndarray) -> np.ndarray:
     return (au + au.transpose(0, 2, 1))[:, _ROW, _COL].T
 
 
-def _centered(r, mu) -> list:
-    """Packed Sigma = R - mu mu^T, entry by entry."""
-    return [x - mu[i] * mu[j] for x, i, j in zip(r, _ROW, _COL)]
-
-
 def _split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, packed R) of the moments ``y`` (8 or (n, 8)); :func:`_raw_moments` is its inverse."""
     a, b, na, nb, c, a2, b2, ab = y.T
@@ -88,6 +83,13 @@ def _split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = [na + a2.real, a2.imag, c.real + ab.real, ab.imag - c.imag, na - a2.real,
          ab.imag + c.imag, c.real - ab.real, nb + b2.real, b2.imag, nb - b2.real]
     return mu, 0.5 * np.array(r)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails the caller's check
+def _gaussian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, packed Sigma = R - mu mu^T) of the moments ``y`` (8 or (n, 8)): the one centering of raw moments."""
+    mu, r = _split(y)
+    return mu, np.array([x - mu[i] * mu[j] for x, i, j in zip(r, _ROW, _COL)])
 
 
 def _raw_moments(mu, r) -> np.ndarray:
@@ -184,12 +186,10 @@ class MomentState:
         return cls(complex(a), complex(b), float(na.real), float(nb.real), complex(ab_dag),
                    complex(a_sq), complex(b_sq), complex(ab))
 
-    @np.errstate(invalid="ignore", over="ignore")  # as _check_physical
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         """Raise :class:`InvariantViolation` if the state is non-finite or not bona fide beyond ``tol``."""
-        y = self.as_array()
-        mu, r = _split(y)
-        _check_physical(y[None, :], np.array(_centered(r, mu))[:, None], tol)
+        y = self.as_array()[None, :]
+        _check_physical(y, _gaussian(y)[1], tol)
 
 
 class Leg(NamedTuple):
@@ -254,11 +254,13 @@ class Trajectory:
     """Sampled moment history of one run; immutable once produced.
 
     ``moments`` has one row per retained sample in the order
-    (a_mean, b_mean, na, nb, ab_dag, a_sq, b_sq, ab).
+    (a_mean, b_mean, na, nb, ab_dag, a_sq, b_sq, ab); ``sigma`` is the (10, n)
+    packed Sigma of the same samples, component first, as the engine computed it.
     """
 
     times: np.ndarray
     moments: np.ndarray
+    sigma: np.ndarray
     params: ModelParams
 
     def __len__(self) -> int:
@@ -383,8 +385,8 @@ def _evolve(leg_map, params, profile, step, t_end, sample_stride, initial) -> Tr
     """
     legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState()).as_array()
-    mu, r = _split(y0)
-    v = np.concatenate([mu, [1.0, 0.0], _centered(r, mu), [1.0]])  # cos = 1, sin = 0 at t = 0
+    mu, sigma0 = _gaussian(y0)
+    v = np.concatenate([mu, [1.0, 0.0], sigma0, [1.0]])  # cos = 1, sin = 0 at t = 0
     blocks = [v[None]]
     for leg in legs:
         e = leg_map(_exact_generator(params.g * leg.window, params, profile), leg.h)
@@ -397,7 +399,7 @@ def _evolve(leg_map, params, profile, step, t_end, sample_stride, initial) -> Tr
     times, moments = grid_times(legs), _raw_moments(mu, r)
     moments[0] = y0
     _check_physical(moments, sigma, PHYSICALITY_TOL, times)
-    return Trajectory(times=times, moments=moments, params=params)
+    return Trajectory(times=times, moments=moments, sigma=sigma, params=params)
 
 
 def integrate(

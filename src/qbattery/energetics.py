@@ -1,14 +1,15 @@
 """Stored energy, ergotropy, and the thermal/coherent decomposition.
 
 For a single-mode Gaussian state the passive-state minimization reduces to a
-closed form in the moments: with
+closed form in the battery block sigma_B = Sigma_B + I/4 (vacuum I/4) of the
+covariance the engine propagates, :attr:`Trajectory.sigma`, with no centering:
 
-    M = (1 + 2<b'b> - 2|<b>|^2)^2 - 4|<b^2> - <b>^2|^2
+    M = 16 det sigma_B = (1 + 4 Sigma22)(1 + 4 Sigma33) - 16 Sigma23^2,
 
 the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2). Physical Gaussian
-states have M >= 1. :func:`energy_columns` evaluates this on every row of an
-(n, 8) moment array at once; :func:`ergotropy_b` is a one-row call of it,
-so a series and its samples share one formula and one set of checks.
+states have M >= 1. :func:`energy_columns` evaluates this on every row at once;
+:func:`ergotropy_b` is a one-row call of it, so a series and its samples share
+one formula and one set of checks.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import MomentState, Trajectory, propagate, raise_first_failure
+from .dynamics import MomentState, Trajectory, _gaussian, propagate, raise_first_failure
 from .errors import DecompositionMismatch, UnphysicalState
 from .model import DriveProfile, ModelParams
 
@@ -45,31 +46,29 @@ class EnergyReport(NamedTuple):
 
 
 @np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
-def energy_columns(moments: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
+def energy_columns(moments: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
 
-    ``moments`` is an (n, 8) array in :class:`Trajectory` order; energies are
-    in units of omega0. M within the tolerance below 1 counts as 1, so the
+    ``moments`` and ``sigma`` are laid out as in :class:`Trajectory`; energies
+    are in units of omega0. M within the tolerance below 1 counts as 1, so the
     ergotropy never exceeds e_b; a negative ergotropy within the noise floor
     is clamped to 0.
 
     Raises
     ------
     UnphysicalState
-        At the first row with a non-finite moment, M < 1 - 1e-6 (the moments
-        do not describe a Gaussian state) or ergotropy below -1e-9, named with
-        its sample index and time when ``times`` is given.
+        At the first row with a non-finite moment or Sigma_B entry, M < 1 - 1e-6
+        (no Gaussian state has that covariance) or ergotropy below -1e-9, named
+        with its sample index and time when ``times`` is given.
     """
     # real products and libm hypot: numpy's complex multiply and abs run SIMD
     # kernels chosen per CPU that round differently, and artifact bytes must not
-    a, b, nb, b_sq = moments[:, 0], moments[:, 1], moments[:, 3].real, moments[:, 6]
-    e_b = omega0 * nb
-    centered_n = 1.0 + 2.0 * nb - 2.0 * np.hypot(b.real, b.imag) ** 2
-    centered_sq = np.hypot(b_sq.real - (b.real**2 - b.imag**2), b_sq.imag - 2.0 * b.real * b.imag)
-    m = centered_n**2 - 4.0 * centered_sq**2
+    a, (s22, s23, s33) = moments[:, 0], sigma[7:]
+    e_b = omega0 * moments[:, 3].real
+    m = (1.0 + 4.0 * s22) * (1.0 + 4.0 * s33) - 16.0 * (s23 * s23)
     erg = e_b - omega0 * (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0
     checks = {
-        "non-finite moment": ~np.isfinite(moments).all(axis=1),
+        "non-finite moment": ~(np.isfinite(moments).all(axis=1) & np.isfinite(sigma[7:]).all(axis=0)),
         "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
         "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
     }
@@ -90,12 +89,13 @@ def ergotropy_b(state: MomentState, omega0: float) -> EnergyReport:
     UnphysicalState
         As :func:`energy_columns`, for this one state.
     """
-    return _reports(energy_columns(state.as_array()[None, :], omega0))[0]
+    y = state.as_array()[None, :]
+    return _reports(energy_columns(y, _gaussian(y)[1], omega0))[0]
 
 
 def report_series(traj: Trajectory) -> list[EnergyReport]:
     """Energetics of every retained sample of a trajectory."""
-    return _reports(energy_columns(traj.moments, traj.params.omega0, traj.times))
+    return _reports(energy_columns(traj.moments, traj.sigma, traj.params.omega0, traj.times))
 
 
 @dataclass
@@ -137,17 +137,12 @@ def decompose(
         propagate(params, DriveProfile.off(), step, t_end, sample_stride),
         propagate(replace(params, nbar=0.0), profile, step, t_end, sample_stride),
     ]
-    total, thermal, coherent = (energy_columns(r.moments, params.omega0, r.times) for r in runs)
+    total, thermal, coherent = (energy_columns(r.moments, r.sigma, params.omega0, r.times) for r in runs)
     e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns
-    if e_res > tolerance:
-        raise DecompositionMismatch(
-            f"energy additivity residual {e_res:.3e} exceeds {tolerance}", e_res
-        )
     erg_res = float(np.max(np.abs(total[1] - coherent[1])))  # ergotropy columns
-    if erg_res > tolerance:
-        raise DecompositionMismatch(
-            f"ergotropy/coherent-part residual {erg_res:.3e} exceeds {tolerance}", erg_res
-        )
+    for identity, res in (("energy additivity", e_res), ("ergotropy/coherent-part", erg_res)):
+        if res > tolerance:
+            raise DecompositionMismatch(f"{identity} residual {res:.3e} exceeds {tolerance}", res)
     return DecompositionResult(
         times=runs[0].times,
         total=_reports(total),

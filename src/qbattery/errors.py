@@ -34,7 +34,7 @@ class TruncationLeak(QBatteryError):
 
 
 class UnphysicalState(QBatteryError):
-    """Moment data violates Gaussian physicality (M below 1)."""
+    """A sample's moments or battery covariance Sigma_B violate Gaussian physicality (M = 16 det sigma_B below 1)."""
 
 
 class DecompositionMismatch(QBatteryError):

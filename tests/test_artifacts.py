@@ -134,7 +134,7 @@ def test_csv_body_matches_per_value_writer_on_edges():
 def test_multi_chunk_and_empty_trajectories(tmp_path):
     params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.0, delta_r=0.0, tau=20.0)
     traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 20.0, sample_stride=1)
-    empty = Trajectory(times=traj.times[:0], moments=traj.moments[:0], params=params)
+    empty = Trajectory(times=traj.times[:0], moments=traj.moments[:0], sigma=traj.sigma[:, :0], params=params)
     header = ",".join(OUTPUT_COLUMNS) + "\n"
     for name, t, n_rows in (("long", traj, 2001), ("empty", empty, 0)):
         path = tmp_path / f"{name}.csv"
@@ -155,9 +155,9 @@ def test_streamed_file_at_chunk_boundaries(tmp_path, n_rows):
 def test_unphysical_rows_leave_no_file(tmp_path, fmt):
     params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.0, delta_r=0.5, tau=3.0)
     traj = propagate(params, DriveProfile.static(0.2), 0.01, 1.0, sample_stride=1)
-    moments = traj.moments.copy()
-    moments[50, 3] = -0.5  # <b'b> < 0: M < 1 at sample 50
-    bad = Trajectory(times=traj.times, moments=moments, params=params)
+    sigma = traj.sigma.copy()
+    sigma[7, 50] = -0.5  # Sigma22 below -1/4: M < 1 at sample 50
+    bad = Trajectory(times=traj.times, moments=traj.moments, sigma=sigma, params=params)
     path = tmp_path / f"run.{fmt}"
     with pytest.raises(UnphysicalState, match="M below 1"):
         write_trajectory(path, bad, fmt, ECHO)

@@ -14,9 +14,9 @@ from qbattery.cd_control import drive_field
 from qbattery.dynamics import (
     PHYSICALITY_TOL,
     MomentState,
-    _centered,
     _check_physical,
     _exact_generator,
+    _gaussian,
     _raw_moments,
     _split,
     expm,
@@ -79,8 +79,7 @@ def centered_rhs(t, x, p, prof):
 def textbook_rk4(p, prof, step, t_end, stride=1, initial=None):
     """Classical RK4 on (mu, Sigma) over moment_rhs, one vector step at a time: the reference."""
     y = (initial or MomentState()).as_array()
-    mu, r = _split(y)
-    x = np.concatenate([mu, _centered(r, mu)])
+    x = np.concatenate(_gaussian(y))
     times, moments, done = [0.0], [y], 0
     for t0, t1, window in reference_legs(t_end, p.tau):
         if t1 <= t0:
@@ -178,9 +177,9 @@ def test_generator_matches_reference_rhs(g, gamma, nbar, window, parts, kind, f0
     prof = DriveProfile(kind, f0=f0, omega_env=omega_env)
     y = np.array(parts[:8]) + 1j * np.array(parts[8:])
     y[2:4] = y[2:4].real  # occupations are real
-    mu, r = _split(y)
+    mu, sigma = _gaussian(y)
     phase = 2.0 * omega_env * t
-    v = np.concatenate([mu, [math.cos(phase), math.sin(phase)], _centered(r, mu), [1.0]])
+    v = np.concatenate([mu, [math.cos(phase), math.sin(phase)], sigma, [1.0]])
     dv = _exact_generator(g * window, p, prof) @ v
     dmu = dv[:4]  # dR = dSigma + dmu mu^T + mu dmu^T
     got = _raw_moments(dmu[:, None], (dv[6:16] + sym_outer(dmu, mu))[:, None])[0]
@@ -316,9 +315,8 @@ class TestIntegrate:
         # rows 0 and 1 are physical; row 2 squeezes beyond the uncertainty bound, row 3 is worse
         states = [MomentState(), coherent_pair(0.3j, 0.5), MomentState(a_sq=0.5), MomentState(na=-1.0)]
         y = np.array([s.as_array() for s in states])
-        mu, r = _split(y)
         with pytest.raises(InvariantViolation, match=r"sample 2 at t=0\.02: covariance breaks the uncertainty"):
-            _check_physical(y, _centered(r, mu), PHYSICALITY_TOL, np.array([0.0, 0.01, 0.02, 0.03]))
+            _check_physical(y, _gaussian(y)[1], PHYSICALITY_TOL, np.array([0.0, 0.01, 0.02, 0.03]))
 
     def test_invariant_check_rejects_non_finite_moments(self):
         with pytest.raises(InvariantViolation, match="sample 0 at t=0: non-finite"):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.dynamics import MomentState, integrate
+from qbattery.cli import OUTPUT_COLUMNS, trajectory_rows
+from qbattery.dynamics import MomentState, _gaussian, integrate, propagate
 from qbattery.energetics import (
     decompose,
     energy_columns,
@@ -30,15 +31,21 @@ def displaced_thermal(beta, n):
     return MomentState(b_mean=beta, nb=n + abs(beta) ** 2, b_sq=beta**2)
 
 
+def columns(states, omega0):
+    """energy_columns of one row per state, with the Sigma the engines take from a start state."""
+    moments = np.array([s.as_array() for s in states])
+    return energy_columns(moments, _gaussian(moments)[1], omega0)
+
+
 class TestEnergy:
     @pytest.mark.parametrize("nb,omega0,expected", [(0.0, 1.0, 0.0), (0.5, 1.0, 0.5), (2.0, 3.0, 6.0)])
     def test_energy_b(self, nb, omega0, expected):
-        e_b = energy_columns(MomentState(nb=nb).as_array()[None, :], omega0)[0]
+        e_b = columns([MomentState(nb=nb)], omega0)[0]
         assert e_b[0] == pytest.approx(expected)
 
     @pytest.mark.parametrize("alpha,omega0,expected", [(0j, 1.0, 0.0), (1.0 + 0j, 1.0, 1.0), (3j, 2.0, 18.0)])
     def test_energy_a(self, alpha, omega0, expected):
-        e_a = energy_columns(MomentState(a_mean=alpha, na=abs(alpha) ** 2).as_array()[None, :], omega0)[4]
+        e_a = columns([MomentState(a_mean=alpha, na=abs(alpha) ** 2)], omega0)[4]
         assert e_a[0] == pytest.approx(expected)
 
 
@@ -86,23 +93,25 @@ class TestErgotropy:
         with pytest.raises(UnphysicalState, match="non-finite moment"):
             ergotropy_b(state, 1.0)
         with pytest.raises(UnphysicalState, match="non-finite moment"):
-            energy_columns(state.as_array()[None, :], 1.0)
+            columns([state], 1.0)
 
     @pytest.mark.parametrize(
-        "row,column,value,message",
+        "row,entry,value,message",
         [
-            (5, 6, 10.0 + 0j, "sample 5 at t=0.5: Gaussian discriminant M below 1"),
-            (3, 3, math.nan, "sample 3 at t=0.3: non-finite moment"),
+            (5, 7, -0.5, "sample 5 at t=0.5: Gaussian discriminant M below 1"),  # Sigma22 < -1/4
+            (3, 9, math.nan, "sample 3 at t=0.3: non-finite moment"),
         ],
+        ids=["sigma22_below_vacuum", "sigma33_nan"],
     )
-    def test_series_names_first_bad_sample(self, row, column, value, message):
+    def test_series_names_first_bad_sample(self, row, entry, value, message):
+        # ``entry`` is the packed Sigma entry energetics reads
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
         traj = integrate(params, DriveProfile.cd_sin_sq(0.3, 0.5), 0.01, 1.0, sample_stride=10)
-        moments = traj.moments.copy()
-        moments[row, column] = value
+        sigma, moments = traj.sigma.copy(), traj.moments.copy()
+        sigma[entry, row] = value
         moments[row + 2, 3] = math.inf  # a later bad sample is not the one named
         with pytest.raises(UnphysicalState, match=message):
-            report_series(dataclasses.replace(traj, moments=moments))
+            report_series(dataclasses.replace(traj, moments=moments, sigma=sigma))
 
     def test_report_invariants_along_trajectory(self):
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
@@ -112,6 +121,35 @@ class TestErgotropy:
             assert rep.m_value >= 1.0 - 1e-9
             assert -1e-9 <= rep.ergotropy_b <= rep.e_b + 1e-9
             assert rep.passive_b >= -1e-9
+
+
+class TestEngineCovariance:
+    """The energy columns read the engine's Sigma, which does not depend on the drive's scale."""
+
+    @staticmethod
+    def artifact_columns(nbar, prof):
+        """(e_b, ergotropy, M) artifact columns of a stride-1 run of gamma = 0.05, g = 0.2 to t = 20."""
+        params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=nbar, delta_r=0.0, tau=20.0)
+        rows = trajectory_rows(propagate(params, prof, 0.01, 20.0, sample_stride=1))
+        names = ("e_b_over_omega0", "ergotropy_b_over_omega0", "m_value")
+        return tuple(rows[:, OUTPUT_COLUMNS.index(name)] for name in names)
+
+    @pytest.mark.parametrize(
+        "prof",
+        [DriveProfile.static(0.2), DriveProfile.static(10.0), DriveProfile.cd_sin_sq(1.0, 0.5)],
+        ids=lambda d: f"{d.kind.value}-{d.f0:g}",
+    )
+    def test_zero_temperature_vacuum_start_is_all_extractable(self, prof):
+        # T = 0 from the vacuum keeps Sigma exactly zero, so M = 1 on every row however large the means
+        e_b, erg, m = self.artifact_columns(0.0, prof)
+        assert np.all(m == 1.0)
+        assert np.array_equal(erg, e_b)
+
+    def test_m_does_not_depend_on_the_drive_amplitude(self):
+        # the model is linear: the drive moves the means only, not Sigma
+        small, large = (self.artifact_columns(0.3, DriveProfile.static(f0))[2] for f0 in (0.2, 1e5))
+        assert np.max(small) > 1.4
+        assert np.all(np.abs(large - small) <= 1e-9 * np.maximum(1.0, small))
 
 
 class TestDecompose:
@@ -162,7 +200,7 @@ class TestPassiveStateOracle:
         run = dense_evolve(params, prof, cutoffs=(14, 14), step=0.01, t_end=6.0, sample_stride=150)
         for state in run.states[1:]:
             m = extract_moments(state)
-            closed_form = (np.sqrt(energy_columns(m.as_array()[None, :], 1.0)[3][0]) - 1.0) / 2.0
+            closed_form = (np.sqrt(columns([m], 1.0)[3][0]) - 1.0) / 2.0
             brute = passive_energy_dense(state.reduced_battery(), omega0=1.0)
             assert brute == pytest.approx(closed_form, abs=1e-9)
 
@@ -188,10 +226,9 @@ _states = st.builds(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(states=st.lists(_states, min_size=1, max_size=6), omega0=st.floats(0.1, 5.0))
 def test_batch_rows_match_single_state_calls(states, omega0):
-    moments = np.array([s.as_array() for s in states])
-    columns = np.column_stack(energy_columns(moments, omega0))
+    batch = np.column_stack(columns(states, omega0))
     bound = omega0 * (1.0 - math.sqrt(1.0 - 1e-6)) / 2.0
-    for state, row in zip(states, columns):
+    for state, row in zip(states, batch):
         single = np.array(tuple(ergotropy_b(state, omega0)))
         assert single.tobytes() == row.tobytes()
         e_b, erg, _, m, _ = row

@@ -2,19 +2,21 @@
 
 perfbench wraps every (module, attribute) of ``perfbench/spans.py`` ``TARGETS``
 from outside the package, methods through their class ``__dict__``, and reads
-the oracle's moments as ``oracle.extract_moments(state).as_array()``. Moving
+the oracle's moments as ``oracle.extract_moments(state).as_array()``. Its
+workloads also read fields of a trajectory and of a decomposition. Moving
 or renaming one of these breaks traced benchmark runs and perfbench's own
 selftest, so it fails here first.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from qbattery import oracle
-from qbattery.dynamics import MomentState
+from qbattery import energetics, oracle
+from qbattery.dynamics import MomentState, integrate
 from qbattery.model import DriveProfile, ModelParams
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -44,3 +46,17 @@ def test_extract_moments_returns_a_moment_state():
     state = oracle.extract_moments(dense.states[-1])
     assert isinstance(state, MomentState)
     assert state.as_array().shape == (8,) and np.all(np.isfinite(state.as_array()))
+
+
+def test_result_fields_the_workloads_read():
+    # the oracle workload compares traj.moments row by row on traj.times; the decompose check
+    # reads e_b and ergotropy_b of every sample of the three series and the two residuals
+    p = ModelParams(omega0=1.0, g=0.2, gamma=0.3, nbar=0.1, delta_r=0.0, tau=1.0)
+    traj = integrate(p, DriveProfile.static(0.2), 0.01, 0.05, sample_stride=1)
+    assert traj.moments.shape == (len(traj), 8) and traj.moments.dtype == complex
+    assert traj.times.shape == (len(traj),)
+    res = energetics.decompose(p, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 0.05, 1)
+    for series in (res.total, res.thermal, res.coherent):
+        assert len(series) == len(res.times)
+        assert all(math.isfinite(r.e_b) and math.isfinite(r.ergotropy_b) for r in series)
+    assert math.isfinite(res.max_energy_residual) and math.isfinite(res.max_ergotropy_residual)
