@@ -1,9 +1,9 @@
 """Command-line front end: single runs, sweeps, drive comparisons, self-tests.
 
 Configuration is a single JSON document with all physical fields
-dimensionless in omega0 units. CSV artifacts are byte-deterministic: fixed
-column order, 17-significant-digit lowercase scientific floats, LF line
-endings.
+dimensionless in omega0 units. Data artifacts are byte-deterministic: fixed
+column order, each value as its ``%.16e`` text (17 significant digits, so it
+parses back to the same double) in CSV lines (LF endings) and JSON rows alike.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, energetics, oracle
+from . import energetics
 from .cd_control import cd_hamiltonian_closed, propagate_unitary
 from .dynamics import MomentState, Trajectory, default_step, integrate, propagate
 from .errors import ConfigError, QBatteryError
@@ -312,31 +312,37 @@ def trajectory_rows(traj: Trajectory) -> np.ndarray:
     return rows
 
 
+def _json_rows(rows: np.ndarray):
+    """The JSON array of ``rows``, _CHUNK_ROWS at a time: the _csv_chunks text with each row in brackets."""
+    text = b"[["  # the array's and the first row's
+    for chunk in _csv_chunks(rows):
+        yield text
+        text = chunk.replace(b"\n", b"],[")  # a row ends and the next one opens
+    yield text[:-2] + b"]" if len(rows) else b"[]"  # the last row opens no next one
+
+
 def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict) -> int:
-    """Write one run artifact and return its row count; rows are checked before the file is opened."""
+    """Stream one artifact, CSV or JSON, with rows in _csv_chunks text; return the row count. Rows are checked first."""
     rows = trajectory_rows(traj)
     if fmt == "csv":
-        with path.open("wb") as f:
-            f.write((",".join(OUTPUT_COLUMNS) + "\n").encode())
-            f.writelines(_csv_chunks(rows))
+        head, body, tail = ",".join(OUTPUT_COLUMNS) + "\n", _csv_chunks(rows), ""
     else:
-        # every double survives its 17-digit CSV text, so JSON rows are the values
-        doc = {
-            "schema": "qbattery-data-v1",
-            "config": config_echo,
-            "columns": list(OUTPUT_COLUMNS),
-            "rows": rows.tolist(),
-        }
-        _write_json(path, doc)
+        doc = {"schema": "qbattery-data-v1", "config": config_echo, "columns": list(OUTPUT_COLUMNS), "rows": []}
+        head, _, tail = _json_text(doc).rpartition('"rows":[]')  # the last match: only "schema" sorts after "rows"
+        head, body = head + '"rows":', _json_rows(rows)
+    with path.open("wb") as f:
+        f.write(head.encode())
+        f.writelines(body)
+        f.write(tail.encode())
     return len(rows)
 
 
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    path.write_text(_json_text(doc), encoding="utf-8", newline="\n")
 
 
 def _manifest_path(out_path: Path) -> Path:
@@ -472,6 +478,7 @@ def close_check(name: str, deviation: float, tol: float, **extra) -> dict:
 
 
 def _selftest_oracle_check() -> list:
+    from . import oracle  # selftest only: kept out of the CLI's import
     points = [
         (
             "moments_vs_oracle_cd_drive",
@@ -540,17 +547,12 @@ def _selftest_transitionless_check() -> list:
 
 
 def _selftest_analytic_check() -> list:
+    from . import analytic  # selftest only: kept out of the CLI's import
     params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.0, delta_r=0.0, tau=10.0)
     profile = DriveProfile.cd_sin_sq(0.05, 0.5)
     report = analytic.validate_against_numerics(params, profile, t_end=10.0)
     status = "pass" if report.status == "VERIFIED" else "warn"
-    return [
-        {
-            "name": "analytic_closed_form",
-            "status": status,
-            "report": report.to_dict(),
-        }
-    ]
+    return [{"name": "analytic_closed_form", "status": status, "report": report.to_dict()}]
 
 
 def selftest_report() -> dict:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _csv_chunks, trajectory_rows, write_trajectory
+from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _csv_chunks, _json_rows, trajectory_rows, write_trajectory
 from qbattery.dynamics import Trajectory, integrate, propagate
 from qbattery.errors import UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
@@ -38,9 +38,36 @@ def reference_csv(rows):
     return "".join(",".join(format(v, ".16e") for v in r) + "\n" for r in rows)
 
 
+def reference_json_rows(rows):
+    """The rows member of a JSON data file: format(v, ".16e") of each value, each row in brackets."""
+    return "[" + ",".join("[" + ",".join(format(v, ".16e") for v in r) + "]" for r in rows) + "]"
+
+
+def old_json_writer(rows, echo):
+    """The JSON data writer before rows were streamed: json.dumps of the row list, float repr per value."""
+    doc = {"schema": "qbattery-data-v1", "config": echo, "columns": list(OUTPUT_COLUMNS), "rows": rows.tolist()}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _csv_body(rows):
     """The data lines the writer streams, joined."""
     return b"".join(_csv_chunks(rows))
+
+
+def _json_body(rows):
+    """The JSON rows array the writer streams, joined."""
+    return b"".join(_json_rows(rows)).decode()
+
+
+def assert_file_holds_rows(path, traj, fmt):
+    """The CSV file is header plus per-value text; the JSON rows are that text and parse to the rows' bits."""
+    text, rows = path.read_text(), trajectory_rows(traj)
+    if fmt == "csv":
+        assert text == ",".join(OUTPUT_COLUMNS) + "\n" + reference_csv(rows.tolist())
+    else:
+        assert '"rows":' + reference_json_rows(rows.tolist()) + ',"schema":' in text
+        got = np.array(json.loads(text)["rows"]).reshape(-1, len(OUTPUT_COLUMNS))
+        assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))  # the sign of zero included
 
 
 def reference_text(traj, fmt):
@@ -97,6 +124,7 @@ def test_row_format_matches_per_value_format():
     doubles = doubles[np.isfinite(doubles).all(axis=1)]
     rows = [edge + edge + edge[:6]] + doubles.tolist()
     assert _csv_body(np.array(rows)).decode() == reference_csv(rows)
+    assert _json_body(np.array(rows)) == reference_json_rows(rows)
     for row in rows:
         assert [float(format(v, ".16e")) for v in row] == row
 
@@ -109,6 +137,7 @@ _FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0
 def test_csv_body_matches_per_value_writer_on_raw_bits(bits):
     rows = bits.view(np.float64)
     assert _csv_body(rows).decode() == reference_csv(rows.tolist())
+    assert _json_body(rows) == reference_json_rows(rows.tolist())
 
 
 def as_rows(values):
@@ -129,26 +158,50 @@ def test_csv_body_matches_per_value_writer_on_edges():
     rows = as_rows(values)
     assert np.signbit(rows[rows == 0.0]).any()  # -0.0 is in the set
     assert _csv_body(rows).decode() == reference_csv(rows.tolist())
+    assert _json_body(rows) == reference_json_rows(rows.tolist())
 
 
-def test_multi_chunk_and_empty_trajectories(tmp_path):
+def long_and_empty_trajectories():
     params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.0, delta_r=0.0, tau=20.0)
     traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 20.0, sample_stride=1)
     empty = Trajectory(times=traj.times[:0], moments=traj.moments[:0], sigma=traj.sigma[:, :0], params=params)
-    header = ",".join(OUTPUT_COLUMNS) + "\n"
-    for name, t, n_rows in (("long", traj, 2001), ("empty", empty, 0)):
-        path = tmp_path / f"{name}.csv"
-        assert write_trajectory(path, t, "csv", ECHO) == len(t) == n_rows
-        assert path.read_text() == header + reference_csv(trajectory_rows(t).tolist())
+    return traj, empty
+
+
+def test_multi_chunk_and_empty_trajectories(tmp_path):
+    traj, empty = long_and_empty_trajectories()
+    for fmt in ("csv", "json"):
+        for name, t, n_rows in (("long", traj, 2001), ("empty", empty, 0)):
+            path = tmp_path / f"{name}.{fmt}"
+            assert write_trajectory(path, t, fmt, ECHO) == len(t) == n_rows
+            assert_file_holds_rows(path, t, fmt)  # an empty JSON file reads "rows":[]
 
 
 @pytest.mark.parametrize("n_rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 def test_streamed_file_at_chunk_boundaries(tmp_path, n_rows):
     params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.3, delta_r=0.5, tau=3.0)
     traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 0.01 * (n_rows - 1), sample_stride=1)
-    path = tmp_path / "run.csv"
-    assert write_trajectory(path, traj, "csv", ECHO) == len(traj) == n_rows
-    assert path.read_text() == ",".join(OUTPUT_COLUMNS) + "\n" + reference_csv(trajectory_rows(traj).tolist())
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"run.{fmt}"
+        assert write_trajectory(path, traj, fmt, ECHO) == len(traj) == n_rows
+        assert_file_holds_rows(path, traj, fmt)
+
+
+def test_json_file_against_the_old_writer(tmp_path):
+    # only the float text changes: the other members keep json.dumps's bytes, escapes included
+    echo = {"output": {"format": "json", "path": 'runs/charge "é".json'}, "numerics": {"step": 0.01}}
+    path = tmp_path / "run.json"
+    for traj in long_and_empty_trajectories():
+        write_trajectory(path, traj, "json", echo)
+        new, old = path.read_text(encoding="utf-8"), old_json_writer(trajectory_rows(traj), echo)
+        new_doc, old_doc = json.loads(new), json.loads(old)
+        assert list(new_doc) == sorted(new_doc) == ["columns", "config", "rows", "schema"]
+        assert new.partition('"rows":')[0] == old.partition('"rows":')[0]
+        assert new.rpartition(',"schema":')[2] == old.rpartition(',"schema":')[2]
+        new_rows = np.array(new_doc.pop("rows")).reshape(-1, len(OUTPUT_COLUMNS))
+        old_rows = np.array(old_doc.pop("rows")).reshape(-1, len(OUTPUT_COLUMNS))
+        assert new_doc == old_doc
+        assert np.array_equal(new_rows.view(np.uint64), old_rows.view(np.uint64))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -348,6 +348,12 @@ class TestEntryPoint:
         assert out.returncode == 1
         assert "--config" in out.stderr
 
+    def test_cli_import_leaves_out_selftest_modules(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = "import sys, qbattery.cli; print([m for m in ('qbattery.oracle', 'qbattery.analytic') if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[]\n"
+
     def test_in_process_sequence_matches_fresh_processes(self, tmp_path):
         # one process running simulate, compare, sweep and simulate writes the
         # bytes that four fresh processes write
