@@ -20,7 +20,7 @@ import numpy as np
 
 from . import energetics
 from .cd_control import cd_hamiltonian_closed, propagate_unitary
-from .dynamics import MomentState, Trajectory, default_step, integrate, propagate
+from .dynamics import MAX_STEPS, MomentState, Trajectory, default_step, integrate, propagate, run_size
 from .errors import ConfigError, QBatteryError
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -40,6 +40,11 @@ SWEEP_PARAMETERS = ("kappa", "gamma", "F0", "omega_env", "g")
 
 #: moment engine behind simulate, sweep and compare, recorded in their manifests
 ENGINE = "exact"
+
+#: samples one run may keep. Artifacts are written at 1.7e5-2.3e5 rows/s, 510 bytes a row, and a
+#: stride-1 run peaks at about 0.65 kB of memory a row; at this budget a file takes about 5 s, 0.5 GB
+#: on disk and 0.7 GB of memory, where an unbounded grid would fail mid-run on allocation
+MAX_ROWS = 1_000_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -93,13 +98,21 @@ def _require_keys(section: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(extra)}")
 
 
+def _finite(v) -> bool:
+    """Whether the JSON value ``v`` is a number that is a finite double; an integer too large for one is not."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _number(section: dict, key: str, name: str, default=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required key '{key}' in '{name}' section")
         return default
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not _finite(v):
         raise ConfigError(f"'{name}.{key}' must be a finite number, got {v!r}")
     return float(v)
 
@@ -107,6 +120,15 @@ def _number(section: dict, key: str, name: str, default=None):
 def _require_cd_denominator(params: ModelParams, profile: DriveProfile) -> None:
     if profile.kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
         raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
+
+
+def _require_size(config: RunConfig) -> None:
+    """Reject a grid past int64 steps or MAX_ROWS samples, before a run allocates it."""
+    steps, rows = run_size(config.step, config.t_end, config.params.tau, config.sample_stride)
+    if steps > MAX_STEPS:
+        raise ConfigError(f"numerics.step = {config.step} takes more than {MAX_STEPS} steps to t_end = {config.t_end}")
+    if rows > MAX_ROWS:
+        raise ConfigError(f"numerics.sample_stride = {config.sample_stride} keeps {rows} samples, past {MAX_ROWS}")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -173,7 +195,7 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _finite(v):
                 raise ConfigError(f"sweep values must be finite numbers, got {v!r}")
         sweep_values = tuple(float(v) for v in values)
 
@@ -198,11 +220,13 @@ def parse_config(doc: dict) -> RunConfig:
         out_format=out_format,
         auto_step=auto_step,
     )
+    _require_size(config)
     # every sweep point is checked here, so a bad one fails before any point writes a file
     for v in sweep_values:
         try:
             point = _apply_sweep_value(config, v)
             _require_cd_denominator(point.params, point.profile)
+            _require_size(point)
         except ConfigError as exc:
             raise ConfigError(f"sweep value {sweep_parameter} = {v!r}: {exc}") from exc
     return config

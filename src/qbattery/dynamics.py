@@ -35,7 +35,10 @@ from .cd_control import drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveKind, DriveProfile, ModelParams
 
-__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate"]
+__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate", "run_size"]
+
+#: most steps a run may take: sample_grid's step indices, up to n_steps + 1, are int64
+MAX_STEPS = 2**63 - 2
 
 #: absolute tolerance on the smallest eigenvalue of 2 sigma + i Omega/2 (vacuum sigma = I/4)
 PHYSICALITY_TOL = 1e-9
@@ -217,20 +220,35 @@ def sample_grid(step: float, t_end: float, tau: float, sample_stride: int) -> li
     takes ceil(span/step) equal steps of h = span/n_steps. Every
     ``sample_stride``-th step of the whole run is kept, counting on across
     the leg boundary, and so is the final step; with t = 0 these are the
-    sample times.
+    sample times. A leg of more than MAX_STEPS steps raises ValueError.
     """
     legs, done = [], 0
-    for t_start, t_stop, window in ((0.0, min(tau, t_end), 1.0), (tau, t_end, 0.0)):
-        span = t_stop - t_start
-        if span <= 0:
-            continue
-        n_steps = max(1, math.ceil(span / step - 1e-12))
+    for t_start, t_stop, window, n_steps in _leg_steps(step, t_end, tau):
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"step {step} takes more than {MAX_STEPS} steps over [{t_start}, {t_stop}]")
         kept = np.arange(sample_stride - done % sample_stride, n_steps + 1, sample_stride)
-        legs.append(Leg(t_start, t_stop, window, n_steps, span / n_steps, kept))
+        legs.append(Leg(t_start, t_stop, window, n_steps, (t_stop - t_start) / n_steps, kept))
         done += n_steps
     if legs and legs[-1].n_steps not in legs[-1].kept:
         legs[-1] = legs[-1]._replace(kept=np.append(legs[-1].kept, legs[-1].n_steps))
     return legs
+
+
+def _leg_steps(step: float, t_end: float, tau: float):
+    """(t_start, t_stop, window, n_steps) of each leg of :func:`sample_grid`; n_steps stops at MAX_STEPS + 1."""
+    for t_start, t_stop, window in ((0.0, min(tau, t_end), 1.0), (tau, t_end, 0.0)):
+        span = t_stop - t_start
+        if span > 0:
+            yield t_start, t_stop, window, max(1, math.ceil(min(span / step - 1e-12, MAX_STEPS + 1)))
+
+
+def run_size(step: float, t_end: float, tau: float, sample_stride: int) -> tuple[int, int]:
+    """(steps, samples) of :func:`sample_grid`'s grid, counted without building it.
+
+    The kept steps are the multiples of ``sample_stride`` and the final step; t = 0 adds one sample.
+    """
+    steps = sum(n for *_, n in _leg_steps(step, t_end, tau))
+    return steps, 1 + -(-steps // sample_stride)
 
 
 def grid_times(legs: list[Leg]) -> np.ndarray:

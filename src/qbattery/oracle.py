@@ -5,9 +5,11 @@ density matrix of charger and battery, over the row-major joint index
 r = m n_b + n (D = n_a n_b), is held as the real (D, D) matrix
 Q = Re rho + Im rho, exact for Hermitian rho, and propagated with the same
 fixed-step fourth-order scheme, on the same sample grid, as the moment RK4
-integrator. Mode operators carry the standard sqrt(n) matrix elements with a
-hard cutoff; the truncated product a a^dag has 0 (not N) in its top diagonal
-entry, which the dissipator terms respect, as truncated-operator algebra does.
+integrator; kept samples stay in this encoding, half the bytes of a complex
+rho, and rho is decoded only on request. Mode operators carry the standard
+sqrt(n) matrix elements with a hard cutoff; the truncated product a a^dag has
+0 (not N) in its top diagonal entry, which the dissipator terms respect, as
+truncated-operator algebra does.
 """
 
 from dataclasses import dataclass
@@ -27,18 +29,22 @@ TRACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DenseState:
-    """Joint truncated-Fock density matrix with its cutoffs."""
+    """Joint truncated-Fock density matrix with its cutoffs, held as its real encoding Q = Re rho + Im rho."""
 
-    rho: np.ndarray  # shape (n_a * n_b, n_a * n_b), row-major over (m, n)
+    q: np.ndarray  # float64, shape (n_a * n_b, n_a * n_b), row-major over (m, n)
     n_a: int
     n_b: int
+
+    @property
+    def rho(self) -> np.ndarray:  # the complex density matrix, decoded from q on each access
+        return _decode(self.q)
 
     def tensor(self) -> np.ndarray:
         return self.rho.reshape(self.n_a, self.n_b, self.n_a, self.n_b)
 
     def reduced_battery(self) -> np.ndarray:
-        """Partial trace over the charger, shape (n_b, n_b)."""
-        return np.einsum("mnml->nl", self.tensor())
+        """Partial trace over the charger, shape (n_b, n_b): that of Q is the reduced Q, decoded here."""
+        return _decode(np.einsum("mnml->nl", self.q.reshape(self.n_a, self.n_b, self.n_a, self.n_b)))
 
 
 @dataclass
@@ -92,11 +98,11 @@ class _LindbladAction:
         self._shape, self._s, self._shift = (2 * n_a, n_b * d), n_b - 1, n_b * (d + 1)
         root = np.sqrt(np.outer(m, m)).ravel()[self._shift:]
         self._jumps = [(gamma * rate) * root for rate in (nbar + 1.0, nbar) if gamma * rate]
-        self._uv, self._tmp = np.empty((2, d, d)), np.empty((d - self._s, d))
+        self._uv = np.empty((2, d, d))
 
     def __call__(self, q: np.ndarray, g: float, f: complex, out: np.ndarray) -> None:
-        """Write Q' into ``out`` for the (2, D, D) buffer ``q`` holding Q; this fills q[1] with Q^T."""
-        uv, tmp, s, j = self._uv, self._tmp, self._s, self._shift
+        """Write Q' into ``out``, apart from ``q``, for the (2, D, D) buffer ``q`` holding Q; fills q[1] with Q^T."""
+        uv, tmp, s, j = self._uv, out[self._s:], self._s, self._shift  # out is scratch until the combine writes it
         np.copyto(q[1], q[0].T)
         m_a = self._k + f.imag * self._anti - f.real * self._sym
         np.matmul(m_a, q.reshape(self._shape), out=uv.reshape(self._shape))
@@ -108,7 +114,7 @@ class _LindbladAction:
                 uv[1, dst] += np.multiply(self._w, q[0, src], out=tmp)
         np.copyto(out, uv[1].T)  # then add in place: faster than one add with a transposed operand
         out += uv[0]
-        flat, q_flat, part = out.reshape(-1), q[0].reshape(-1), tmp.reshape(-1)[: out.size - j]
+        flat, q_flat, part = out.reshape(-1), q[0].reshape(-1), uv.reshape(-1)[: out.size - j]  # uv is free now
         for w, dst, src in zip(self._jumps, (slice(None, -j), slice(j, None)), (slice(j, None), slice(None, -j))):
             flat[dst] += np.multiply(w, q_flat[src], out=part)
 
@@ -144,9 +150,10 @@ def dense_evolve(
 
     d = n_a * n_b
     action = _LindbladAction(n_a, n_b, params.gamma, params.nbar)
-    # pair[0] is Q = Re rho + Im rho; each action call fills pair[1] (stage[1]) with the transpose
+    # pair[0] is Q = Re rho + Im rho; each action call fills pair[1] (stage[1]) with the transpose,
+    # which only a step's first action reads, so the later stages' k reuse pair[1]
     pair, stage = np.zeros((2, d, d)), np.empty((2, d, d))
-    q, k, acc = pair[0], np.empty((d, d)), np.empty((d, d))
+    q, k, acc = pair[0], pair[1], np.empty((d, d))
     q[0, 0] = 1.0
     worst = [0.0, 0.0]  # largest leak and trace drift seen
 
@@ -164,7 +171,7 @@ def dense_evolve(
         worst[:] = max(worst[0], leak_a, leak_b), max(worst[1], drift)
 
     def snapshot() -> DenseState:
-        return DenseState(rho=_decode(q), n_a=n_a, n_b=n_b)
+        return DenseState(q=q.copy(), n_a=n_a, n_b=n_b)
 
     guard(0.0)
     states = [snapshot()]
@@ -197,13 +204,14 @@ def dense_evolve(
 
 
 def extract_moments(state: DenseState) -> MomentState:
-    """All eight tracked moments of a dense state, as trace(rho X).
+    """All eight tracked moments of a dense state, as trace(rho X), read from its Q.
 
     Each truncated product X of the mode operators shifts the Fock indices
     by fixed amounts, so trace(rho X) is a weighted sum over one shifted
-    diagonal of a reduced or of the joint density matrix.
+    diagonal of a reduced or of the joint density matrix. A reduced rho is
+    decoded from the partial trace of Q, and a joint sum reads Q_ij and Q_ji.
     """
-    r = state.tensor()
+    r = state.q.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
     sa, sb = np.sqrt(np.arange(1, state.n_a)), np.sqrt(np.arange(1, state.n_b))
 
     def single(rho1: np.ndarray, s: np.ndarray) -> tuple[complex, float, complex]:
@@ -211,10 +219,12 @@ def extract_moments(state: DenseState) -> MomentState:
         occupation = np.arange(len(rho1)) @ np.diagonal(rho1).real
         return s @ np.diagonal(rho1, -1), occupation, (s[1:] * s[:-1]) @ np.diagonal(rho1, -2)
 
-    a, na, a_sq = single(np.einsum("mnkn->mk", r), sa)
+    a, na, a_sq = single(_decode(np.einsum("mnkn->mk", r)), sa)
     b, nb, b_sq = single(state.reduced_battery(), sb)
-    # sums of rho[m, n, m-1, n+1] sqrt(m (n+1)) and of rho[m, n, m-1, n-1] sqrt(m n)
-    ab_dag = sa @ np.einsum("mnmn->mn", r[1:, :-1, :-1, 1:]) @ sb
-    ab = sa @ np.einsum("mnmn->mn", r[1:, 1:, :-1, :-1]) @ sb
+    # sums of rho[m, n, m-1, n+1] sqrt(m (n+1)) and of rho[m, n, m-1, n-1] sqrt(m n): ij sums Q_ij
+    # over each diagonal and ji the transposed entries Q_ji, as rho_ij = (Q_ij + Q_ji + i (Q_ij - Q_ji))/2
+    ij, ji = np.array([[sa @ np.einsum("mnmn->mn", w) @ sb for w in ws] for ws in (
+        (r[1:, :-1, :-1, 1:], r[1:, 1:, :-1, :-1]), (r[:-1, 1:, 1:, :-1], r[:-1, :-1, 1:, 1:]))])
+    ab_dag, ab = 0.5 * (ij + ji) + 0.5j * (ij - ji)
     moments = (a, b, na, nb, ab_dag, a_sq, b_sq, ab)
     return MomentState.from_array(np.array(moments, dtype=complex))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qbattery.cli import (
+    MAX_ROWS,
     OUTPUT_COLUMNS,
     close_check,
     compare_drives,
@@ -101,6 +102,68 @@ class TestConfigParsing:
         doc["model"]["kappa"] = 0.5
         cfg = parse_config(doc)
         assert cfg.params.delta_r == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "numerics,message",
+        [
+            ({"step": 0.01, "t_end": 1e9, "sample_stride": 1},
+             "numerics.sample_stride = 1 keeps 100000000001 samples, past 1000000"),
+            ({"step": 1e-300, "t_end": 1, "sample_stride": 10**21},
+             "numerics.step = 1e-300 takes more than 9223372036854775806 steps to t_end = 1.0"),
+        ],
+        ids=["rows", "steps"],
+    )
+    def test_oversized_run_fails_validation(self, tmp_path, capsys, numerics, message):
+        # both grids used to fail mid-run on allocation, with a traceback and no config error line
+        doc = {
+            "model": {"g": 0.2, "gamma": 0.05, "tau": 20.0},
+            "drive": {"profile": "static", "f0": 0.2},
+            "numerics": numerics,
+            "output": {"path": str(tmp_path / "x.csv")},
+        }
+        p = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
+    def test_run_size_budget_edge(self, tmp_path):
+        # the exact engine's cost grows with the log of the step count, so a long run with few rows stays valid
+        doc = base_config(tmp_path / "o.csv")
+        doc["model"]["tau"] = 20.0
+        doc["numerics"] = {"step": 0.01, "t_end": 1e9, "sample_stride": 10**11}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 1 + 2
+        doc["numerics"] = {"step": 0.01, "t_end": 0.01 * (MAX_ROWS - 1), "sample_stride": 1}
+        parse_config(doc)  # exactly MAX_ROWS samples
+        doc["numerics"]["t_end"] = 0.01 * MAX_ROWS
+        with pytest.raises(ConfigError, match=f"keeps {MAX_ROWS + 1} samples, past {MAX_ROWS}"):
+            parse_config(doc)
+
+    def test_oversized_sweep_point_fails_before_any_file(self, tmp_path, capsys):
+        # the defaulted step shrinks with g, so only the second point's grid is past the budget
+        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "g", "values": [0.2, 1000.0]})
+        del doc["numerics"]["step"]
+        doc["numerics"].update(t_end=100.0, sample_stride=1)
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep value g = 1000.0: numerics.sample_stride = 1 keeps 4000001 samples")
+        assert err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("where", ["t_end", "sweep"])
+    def test_integer_past_a_double_is_not_finite(self, tmp_path, capsys, where):
+        big = 10**400
+        values = [0.2, big if where == "sweep" else 0.3]
+        doc = base_config(tmp_path / "o.csv", sweep={"parameter": "F0", "values": values})
+        if where == "t_end":
+            doc["numerics"]["t_end"] = big
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        name = "'numerics.t_end' must be a finite number" if where == "t_end" else "sweep values must be finite numbers"
+        assert err == f"config error: {name}, got {big!r}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestSimulate:

@@ -24,6 +24,7 @@ from qbattery.dynamics import (
     integrate,
     max_step,
     propagate,
+    run_size,
     sample_grid,
 )
 from qbattery.errors import InvariantViolation, StepTooLarge
@@ -468,6 +469,17 @@ class TestSampleGrid:
         assert first.kept[-1] == 100 and second.kept[0] == 7
         assert second.kept[-1] == second.n_steps  # the final step is always kept
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        step=st.floats(0.004, 0.5),
+        t_end=st.floats(0.0, 12.0),
+        tau=st.floats(0.0, 15.0),
+        stride=st.integers(1, 40),
+    )
+    def test_run_size_counts_the_grid(self, step, t_end, tau, stride):
+        legs = sample_grid(step, t_end, tau, stride)
+        assert run_size(step, t_end, tau, stride) == (sum(leg.n_steps for leg in legs), len(grid_times(legs)))
+
     def test_empty_run_keeps_only_the_start(self):
         assert sample_grid(0.01, 0.0, 1.0, 3) == []
         traj = propagate(params(tau=1.0), DriveProfile.off(), 0.01, 0.0)
@@ -486,6 +498,12 @@ class TestSampleGrid:
         for engine in (integrate, propagate):
             with pytest.raises(ValueError, match=message):
                 engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), step, t_end, stride)
+
+    def test_engines_reject_a_grid_past_int64_steps(self):
+        # the step count is capped while counting, so no grid is built with a coarser step than asked
+        for engine in (integrate, propagate):
+            with pytest.raises(ValueError, match=r"step 1e-300 takes more than 9223372036854775806 steps"):
+                engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), 1e-300, 1.0, 10**21)
 
 
 class TestExpm:

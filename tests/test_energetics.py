@@ -234,3 +234,25 @@ def test_batch_rows_match_single_state_calls(states, omega0):
         e_b, erg, _, m, _ = row
         assert m >= 1.0 - 1e-6
         assert 0.0 <= erg <= e_b + bound
+
+
+_DRIVES = (
+    DriveProfile.off(), DriveProfile.static(0.2), DriveProfile.sin_sq(0.2, 0.5), DriveProfile.cd_sin_sq(0.2, 0.5)
+)
+
+
+@pytest.mark.parametrize("profile", _DRIVES, ids=lambda p: p.kind.value)
+@pytest.mark.parametrize("delta_r", [0.0, 0.4])
+@pytest.mark.parametrize("nbar", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("g,gamma", [(0.2, 0.05), (0.2, 1.0), (0.5, 0.3)])
+def test_passive_generator_keeps_battery_isotropic(g, gamma, nbar, delta_r, profile):
+    # a beam splitter plus charger loss is passive: from the vacuum the battery covariance
+    # stays isotropic (Sigma22 = Sigma33, Sigma23 = 0), so its ergotropy is omega0 |beta|^2
+    params = ModelParams(omega0=1.0, g=g, gamma=gamma, nbar=nbar, delta_r=delta_r, tau=12.0)
+    traj = propagate(params, profile, 0.01, 20.0, sample_stride=1)
+    e_b, erg, *_ = energy_columns(traj.moments, traj.sigma, params.omega0, traj.times)
+    beta = traj.moments[:, 1]
+    tol = 1e-12 * max(1.0, float(np.max(e_b)))
+    assert np.max(np.abs(traj.sigma[7] - traj.sigma[9])) <= tol
+    assert np.max(np.abs(traj.sigma[8])) <= tol
+    assert np.max(np.abs(erg - params.omega0 * (beta.real**2 + beta.imag**2))) <= tol

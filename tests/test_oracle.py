@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,25 @@ class TestDenseEvolve:
             assert np.array_equal(rho, rho.conj().T)
             assert np.array_equal(rho.real.view(np.uint64), rho.real.T.view(np.uint64))
 
+    def test_traced_peak_holds_q_snapshots_and_working_set(self):
+        # kept states hold Q, 8 bytes per entry: the run may trace its 11 snapshots
+        # plus 14 working D x D float64 matrices, 25 in all
+        params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.2, delta_r=0.0, tau=4.0)
+        prof = DriveProfile.cd_sin_sq(0.2, 0.5)
+        d = 14 * 14
+        tracemalloc.start()
+        try:
+            run = dense_evolve(params, prof, cutoffs=(14, 14), step=0.01, t_end=1.0, sample_stride=10)
+            for state in run.states:
+                extract_moments(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * d * d * 8, f"traced peak {peak / (d * d * 8):.1f} D x D float64 matrices"
+        assert len(run.states) == 11
+        for state in run.states:
+            assert state.q.dtype == np.float64 and state.q.shape == (d, d) and state.q.flags.c_contiguous
+
     @pytest.mark.parametrize(
         "kwargs,message",
         [
@@ -307,13 +327,13 @@ class TestExtractMoments:
     def test_vacuum_gives_zero_moments(self):
         rho = np.zeros((16, 16), dtype=complex)
         rho[0, 0] = 1.0
-        m = extract_moments(DenseState(rho=rho, n_a=4, n_b=4))
+        m = extract_moments(DenseState(q=encode(rho), n_a=4, n_b=4))
         assert m.as_array() == pytest.approx(np.zeros(8))
 
     def test_coherent_state_moments(self):
         alpha, n = 0.6 + 0.3j, 18
         rho = product_state(coherent_vector(alpha, n), coherent_vector(0, 4))
-        m = extract_moments(DenseState(rho=rho, n_a=n, n_b=4))
+        m = extract_moments(DenseState(q=encode(rho), n_a=n, n_b=4))
         assert m.a_mean == pytest.approx(alpha, abs=1e-10)
         assert m.na == pytest.approx(abs(alpha) ** 2, abs=1e-10)
         assert m.a_sq == pytest.approx(alpha**2, abs=1e-10)
@@ -326,7 +346,7 @@ class TestExtractMoments:
         vac = np.zeros((4, 4))
         vac[0, 0] = 1.0
         rho = np.kron(rho_a, vac).astype(complex)
-        m = extract_moments(DenseState(rho=rho, n_a=n, n_b=4))
+        m = extract_moments(DenseState(q=encode(rho), n_a=n, n_b=4))
         assert m.a_mean == 0
         assert m.a_sq == 0
         assert m.na == pytest.approx(nbar, abs=1e-8)
@@ -341,7 +361,7 @@ class TestExtractMoments:
         ops = mode_operators(n_a, n_b)
         a, b, ad, bd = ops["a"], ops["b"], ops["ad"], ops["bd"]
         expected = [np.trace(rho @ op) for op in (a, b, ad @ a, bd @ b, a @ bd, a @ a, b @ b, a @ b)]
-        m = extract_moments(DenseState(rho=rho, n_a=n_a, n_b=n_b))
+        m = extract_moments(DenseState(q=encode(rho), n_a=n_a, n_b=n_b))
         assert np.max(np.abs(m.as_array() - np.array(expected))) < 1e-14
 
     def test_mode_operators_commutator(self):
