@@ -20,7 +20,7 @@ import numpy as np
 
 from . import energetics
 from .cd_control import cd_hamiltonian_closed, propagate_unitary
-from .dynamics import MAX_STEPS, MomentState, Trajectory, default_step, integrate, propagate, run_size
+from .dynamics import MAX_ROWS, MAX_STEPS, MomentState, Trajectory, default_step, integrate, propagate, run_size
 from .errors import ConfigError, QBatteryError
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -36,15 +36,18 @@ OUTPUT_COLUMNS = (
     "m_value",
 )
 
-SWEEP_PARAMETERS = ("kappa", "gamma", "F0", "omega_env", "g")
+#: (params, profile) of one sweep point, from the run's and the swept parameter's value
+_SWEEP = {
+    "kappa": lambda p, d, v: (dataclasses.replace(p, delta_r=p.omega0 * (1.0 - v)), d),
+    "gamma": lambda p, d, v: (dataclasses.replace(p, gamma=v), d),
+    "F0": lambda p, d, v: (p, dataclasses.replace(d, f0=v)),
+    "omega_env": lambda p, d, v: (p, dataclasses.replace(d, omega_env=v)),
+    "g": lambda p, d, v: (dataclasses.replace(p, g=v), d),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP)
 
 #: moment engine behind simulate, sweep and compare, recorded in their manifests
 ENGINE = "exact"
-
-#: samples one run may keep. Artifacts are written at 1.7e5-2.3e5 rows/s, 510 bytes a row, and a
-#: stride-1 run peaks at about 0.65 kB of memory a row; at this budget a file takes about 5 s, 0.5 GB
-#: on disk and 0.7 GB of memory, where an unbounded grid would fail mid-run on allocation
-MAX_ROWS = 1_000_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,10 +95,15 @@ class RunConfig:
         return d
 
 
-def _require_keys(section: dict, allowed: set, name: str) -> None:
-    extra = set(section) - allowed
+def _section(doc: dict, name: str, keys: tuple) -> dict:
+    """The ``name`` section of ``doc``, {} when absent; it must be a JSON object holding only ``keys``."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be a JSON object, got {section!r}")
+    extra = sorted(k for k in section if k not in keys)
     if extra:
-        raise ConfigError(f"unknown keys in '{name}' section: {sorted(extra)}")
+        raise ConfigError(f"unknown keys in '{name}' section: {extra}")
+    return section
 
 
 def _finite(v) -> bool:
@@ -106,25 +114,19 @@ def _finite(v) -> bool:
         return False
 
 
-def _number(section: dict, key: str, name: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in '{name}' section")
-        return default
-    v = section[key]
+def _number(section: dict, key: str, name: str, default=None) -> float:
+    v = section.get(key, default)
     if not _finite(v):
         raise ConfigError(f"'{name}.{key}' must be a finite number, got {v!r}")
     return float(v)
 
 
-def _require_cd_denominator(params: ModelParams, profile: DriveProfile) -> None:
+def _check_point(config: RunConfig) -> None:
+    """Reject a run or sweep point with a vanishing CD denominator, or a grid past int64 steps or MAX_ROWS samples."""
+    params, profile = config.params, config.profile
     if profile.kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
         raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
-
-
-def _require_size(config: RunConfig) -> None:
-    """Reject a grid past int64 steps or MAX_ROWS samples, before a run allocates it."""
-    steps, rows = run_size(config.step, config.t_end, config.params.tau, config.sample_stride)
+    steps, rows = run_size(config.step, config.t_end, params.tau, config.sample_stride)
     if steps > MAX_STEPS:
         raise ConfigError(f"numerics.step = {config.step} takes more than {MAX_STEPS} steps to t_end = {config.t_end}")
     if rows > MAX_ROWS:
@@ -132,13 +134,15 @@ def _require_size(config: RunConfig) -> None:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a configuration document and resolve derived fields."""
+    """Validate a configuration document and resolve derived fields.
+
+    Model and drive defaults are those of ModelParams.build and DriveProfile, except that tau defaults to t_end.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    _require_keys(doc, {"model", "drive", "numerics", "sweep", "output"}, "top-level")
+    _section({"top-level": doc}, "top-level", ("model", "drive", "numerics", "sweep", "output"))
 
-    num = doc.get("numerics", {})
-    _require_keys(num, {"step", "t_end", "sample_stride"}, "numerics")
+    num = _section(doc, "numerics", ("step", "t_end", "sample_stride"))
     t_end = _number(num, "t_end", "numerics", 20.0)
     if t_end <= 0:
         raise ConfigError(f"numerics.t_end must be > 0, got {t_end}")
@@ -146,24 +150,13 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
         raise ConfigError(f"numerics.sample_stride must be a positive integer, got {stride!r}")
 
-    mdl = doc.get("model", {})
-    _require_keys(mdl, {"omega0", "g", "gamma", "nbar", "kT", "delta_r", "kappa", "tau"}, "model")
+    mdl = _section(doc, "model", ("omega0", "g", "gamma", "nbar", "kT", "delta_r", "kappa", "tau"))
     try:
-        params = ModelParams.build(
-            omega0=_number(mdl, "omega0", "model", 1.0),
-            g=_number(mdl, "g", "model", 0.0),
-            gamma=_number(mdl, "gamma", "model", 0.0),
-            tau=_number(mdl, "tau", "model", t_end),
-            nbar=_number(mdl, "nbar", "model") if "nbar" in mdl else None,
-            kT=_number(mdl, "kT", "model") if "kT" in mdl else None,
-            delta_r=_number(mdl, "delta_r", "model") if "delta_r" in mdl else None,
-            kappa=_number(mdl, "kappa", "model") if "kappa" in mdl else None,
-        )
+        params = ModelParams.build(**{"tau": t_end, **{k: _number(mdl, k, "model") for k in mdl}})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    drv = doc.get("drive", {})
-    _require_keys(drv, {"profile", "f0", "omega_env"}, "drive")
+    drv = _section(doc, "drive", ("profile", "f0", "omega_env"))
     kind_name = drv.get("profile", "off")
     try:
         kind = DriveKind(kind_name)
@@ -171,12 +164,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(
             f"drive.profile must be one of {[k.value for k in DriveKind]}, got {kind_name!r}"
         ) from exc
-    profile = DriveProfile(
-        kind=kind,
-        f0=_number(drv, "f0", "drive", 0.0),
-        omega_env=_number(drv, "omega_env", "drive", 0.0),
-    )
-    _require_cd_denominator(params, profile)
+    profile = DriveProfile(kind, **{k: _number(drv, k, "drive") for k in drv if k != "profile"})
 
     auto_step = "step" not in num
     step = _number(num, "step", "numerics", default_step(params, profile))
@@ -186,8 +174,7 @@ def parse_config(doc: dict) -> RunConfig:
     sweep_parameter = None
     sweep_values: tuple = ()
     if "sweep" in doc:
-        swp = doc["sweep"]
-        _require_keys(swp, {"parameter", "values"}, "sweep")
+        swp = _section(doc, "sweep", ("parameter", "values"))
         sweep_parameter = swp.get("parameter")
         if sweep_parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"sweep.parameter must be one of {SWEEP_PARAMETERS}, got {sweep_parameter!r}")
@@ -199,8 +186,7 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError(f"sweep values must be finite numbers, got {v!r}")
         sweep_values = tuple(float(v) for v in values)
 
-    out = doc.get("output", {})
-    _require_keys(out, {"path", "format"}, "output")
+    out = _section(doc, "output", ("path", "format"))
     out_format = out.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {out_format!r}")
@@ -220,13 +206,11 @@ def parse_config(doc: dict) -> RunConfig:
         out_format=out_format,
         auto_step=auto_step,
     )
-    _require_size(config)
+    _check_point(config)
     # every sweep point is checked here, so a bad one fails before any point writes a file
     for v in sweep_values:
         try:
-            point = _apply_sweep_value(config, v)
-            _require_cd_denominator(point.params, point.profile)
-            _require_size(point)
+            _check_point(_apply_sweep_value(config, v))
         except ConfigError as exc:
             raise ConfigError(f"sweep value {sweep_parameter} = {v!r}: {exc}") from exc
     return config
@@ -399,18 +383,7 @@ def run_simulate(config: RunConfig) -> Path:
 
 
 def _apply_sweep_value(config: RunConfig, value: float) -> RunConfig:
-    p, d = config.params, config.profile
-    name = config.sweep_parameter
-    if name == "kappa":
-        p = dataclasses.replace(p, delta_r=p.omega0 * (1.0 - value))
-    elif name == "gamma":
-        p = dataclasses.replace(p, gamma=value)
-    elif name == "g":
-        p = dataclasses.replace(p, g=value)
-    elif name == "F0":
-        d = dataclasses.replace(d, f0=value)
-    elif name == "omega_env":
-        d = dataclasses.replace(d, omega_env=value)
+    p, d = _SWEEP[config.sweep_parameter](config.params, config.profile, value)
     # a defaulted step is resolved per point and pinned, so each point's echo carries it
     step = default_step(p, d) if config.auto_step else config.step
     return dataclasses.replace(

@@ -35,7 +35,7 @@ def bose_occupation(omega0: float, kT: float) -> float:
     Returns
     -------
     float
-        1/(exp(omega0/kT) - 1); the kT = 0 limit returns 0 exactly.
+        1/(exp(omega0/kT) - 1); the kT = 0 limit returns 0 exactly, and inf where omega0/kT underflows to 0.
     """
     if omega0 <= 0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
@@ -46,6 +46,8 @@ def bose_occupation(omega0: float, kT: float) -> float:
     x = omega0 / kT
     if x > 700:  # exp would overflow; occupation is indistinguishable from 0
         return 0.0
+    if x == 0.0:  # omega0/kT underflowed: the occupation is past every double
+        return math.inf
     return 1.0 / math.expm1(x)
 
 

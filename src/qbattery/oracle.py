@@ -39,9 +39,6 @@ class DenseState:
     def rho(self) -> np.ndarray:  # the complex density matrix, decoded from q on each access
         return _decode(self.q)
 
-    def tensor(self) -> np.ndarray:
-        return self.rho.reshape(self.n_a, self.n_b, self.n_a, self.n_b)
-
     def reduced_battery(self) -> np.ndarray:
         """Partial trace over the charger, shape (n_b, n_b): that of Q is the reduced Q, decoded here."""
         return _decode(np.einsum("mnml->nl", self.q.reshape(self.n_a, self.n_b, self.n_a, self.n_b)))
@@ -146,7 +143,7 @@ def dense_evolve(
     n_a, n_b = cutoffs
     if n_a < 4 or n_b < 4:
         raise ValueError(f"cutoffs must be >= 4, got {cutoffs}")
-    check_run(step, t_end, sample_stride)
+    check_run(step, t_end, params.tau, sample_stride)
 
     d = n_a * n_b
     action = _LindbladAction(n_a, n_b, params.gamma, params.nbar)

@@ -151,6 +151,25 @@ class TestConfigParsing:
         assert err.count("\n") == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("section", ["numerics", "model", "drive", "sweep", "output"])
+    @pytest.mark.parametrize("value", [5, [], None, "x"])
+    def test_section_that_is_not_an_object_fails_validation(self, tmp_path, capsys, section, value):
+        # a number used to raise TypeError, a list AttributeError, each with a traceback
+        doc = base_config(tmp_path / "o.csv", **{section: value})
+        p = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"config error: '{section}' section must be a JSON object, got {value!r}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
+    def test_underflowed_bose_ratio_fails_validation(self, tmp_path, capsys):
+        # omega0/kT underflows to 0.0; the occupation used to raise ZeroDivisionError with a traceback
+        doc = base_config(tmp_path / "o.csv")
+        doc["model"] = {"omega0": 1e-308, "kT": 1e308, "gamma": 1.0}
+        p = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == "config error: nbar must be finite, got inf\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("where", ["t_end", "sweep"])
     def test_integer_past_a_double_is_not_finite(self, tmp_path, capsys, where):
         big = 10**400

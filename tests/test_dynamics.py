@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from qbattery.dynamics import (
 )
 from qbattery.errors import InvariantViolation, StepTooLarge
 from qbattery.model import DriveKind, DriveProfile, ModelParams
+from qbattery.oracle import dense_evolve
 
 
 def params(g=0.0, gamma=0.0, nbar=0.0, delta_r=0.0, tau=100.0):
@@ -498,6 +500,19 @@ class TestSampleGrid:
         for engine in (integrate, propagate):
             with pytest.raises(ValueError, match=message):
                 engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), step, t_end, stride)
+
+    def test_engines_bound_a_run_before_building_its_grid(self):
+        # 1e11 + 1 samples: sample_grid's np.arange alone would ask for about 745 GiB
+        for engine in (integrate, propagate, dense_evolve):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"sample_stride 1 keeps 100000000001 samples, past 1000000$"):
+                    engine(params(g=0.2, gamma=0.05, tau=20.0), DriveProfile.static(0.2),
+                           step=0.01, t_end=1e9, sample_stride=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (engine.__name__, peak)
 
     def test_engines_reject_a_grid_past_int64_steps(self):
         # the step count is capped while counting, so no grid is built with a coarser step than asked

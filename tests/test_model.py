@@ -25,6 +25,13 @@ class TestBoseOccupation:
         occ = [bose_occupation(1.3, kt) for kt in kts]
         assert all(b > a for a, b in zip(occ, occ[1:]))
 
+    def test_underflowed_ratio_is_infinite(self):
+        # omega0/kT underflows to 0.0, where 1/expm1 would divide by zero; params reject the inf as for 5e-324/1
+        assert bose_occupation(1e-308, 1e308) == math.inf
+        for omega0, kt in ((1e-308, 1e308), (5e-324, 1.0)):
+            with pytest.raises(ConfigError, match="nbar must be finite, got inf"):
+                ModelParams.build(omega0=omega0, kT=kt)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bose_occupation(0.0, 1.0)
