@@ -191,8 +191,8 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {out_format!r}")
     out_path = out.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError("output.path must be a string")
+    if out_path is not None and (not isinstance(out_path, str) or "\0" in out_path or not Path(out_path).name):
+        raise ConfigError(f"output.path must be a string naming a file, got {out_path!r}")
 
     config = RunConfig(
         params=params,
@@ -619,7 +619,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             manifest, all_ok = run_sweep(config)
             print(f"wrote {manifest}")
-            return EXIT_OK if all_ok else EXIT_RUNTIME
+            if all_ok:
+                return EXIT_OK
+            failed = [run for run in json.loads(manifest.read_text())["runs"] if run["status"] == "error"]
+            raise QBatteryError(f"sweep: {len(failed)} of {len(config.sweep_values)} points failed; first "
+                                f"{config.sweep_parameter} = {failed[0]['value']!r}: {failed[0]['error']}")
         if args.command == "compare":
             report = compare_drives(config)
             if config.out_path is not None:

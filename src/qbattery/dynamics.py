@@ -12,12 +12,13 @@ reads, and the moments, entries of R = Sigma + mu mu^T, e.g. <a^dag a> = R00 +
 R11; symmetric 4x4 matrices are packed as their 10 upper-triangle entries.
 Every drive is a sum of the harmonics {0, +-2i omega_env}, so within a leg of
 :func:`sample_grid` the 17 entries [mu, cos 2 omega_env t, sin 2 omega_env t,
-Sigma, 1] obey a constant linear system, and one step is a constant map. Two
-engines run the same leg loop (:func:`_evolve`) and differ only in that map:
+Sigma, 1] obey a constant linear system of generator G + W, where W rotates the
+harmonics (the drive clock) and G holds the rest, and one step is a constant map.
+Two engines run the same leg loop (:func:`_evolve`) and differ only in that map:
 
-* :func:`propagate`, the engine of the CLI, is exact: the map is e^{Mh}.
-* :func:`integrate` is classical RK4 on (mu, Sigma), the drive taken exactly
-  at the stage times, kept as the cross-check of the step rule.
+* :func:`propagate`, the engine of the CLI, is exact: the map is e^{(G + W)h}.
+* :func:`integrate` is classical RK4 on (mu, Sigma), the clock advanced
+  exactly by e^{W c h} to the stage times, kept as the cross-check of the step rule.
 
 Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
 in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
@@ -40,7 +41,7 @@ __all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step",
 #: most steps a run may take: sample_grid's step indices, up to n_steps + 1, are int64
 MAX_STEPS = 2**63 - 2
 
-#: samples one run may keep, in an engine (check_run) and in a CLI artifact. Artifacts are written at
+#: samples one run may keep, in an engine (sample_grid) and in a CLI artifact. Artifacts are written at
 #: 1.7e5-2.3e5 rows/s, 510 bytes a row, and a stride-1 run peaks at about 0.65 kB of memory a row; at this
 #: budget a file takes about 5 s, 0.5 GB on disk and 0.7 GB of memory, where an unbounded grid would fail
 #: mid-run on allocation
@@ -226,8 +227,17 @@ def sample_grid(step: float, t_end: float, tau: float, sample_stride: int) -> li
     takes ceil(span/step) equal steps of h = span/n_steps. Every
     ``sample_stride``-th step of the whole run is kept, counting on across
     the leg boundary, and so is the final step; with t = 0 these are the
-    sample times. A leg of more than MAX_STEPS steps raises ValueError.
+    sample times. A grid it cannot build, or of more than MAX_ROWS samples (counted
+    by :func:`run_size` before any array exists), raises ValueError naming the argument.
     """
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    if (rows := run_size(step, t_end, tau, sample_stride)[1]) > MAX_ROWS:
+        raise ValueError(f"sample_stride {sample_stride} keeps {rows} samples, past {MAX_ROWS}")
     legs, done = [], 0
     for t_start, t_stop, window, n_steps in _leg_steps(step, t_end, tau):
         if n_steps > MAX_STEPS:
@@ -294,19 +304,6 @@ class Trajectory:
         return MomentState.from_array(self.moments[i])
 
 
-def check_run(step: float, t_end: float, tau: float, sample_stride: int):
-    """Reject a grid :func:`sample_grid` cannot build, or one of more than MAX_ROWS samples, naming the argument."""
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if not 0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    rows = run_size(step, t_end, tau, sample_stride)[1]
-    if rows > MAX_ROWS:
-        raise ValueError(f"sample_stride {sample_stride} keeps {rows} samples, past {MAX_ROWS}")
-
-
 #: coefficients c_k of the [6/6] Pade approximant to exp, sum c_k x^k / sum c_k (-x)^k
 _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
 
@@ -361,62 +358,54 @@ def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np
     return states, np.linalg.matrix_power(e, leg.n_steps - int(j[-1])) @ last
 
 
-def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> np.ndarray:
-    """17x17 generator of v = [mu, cos 2wt, sin 2wt, Sigma, 1] within one leg, w = omega_env.
+def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> tuple[np.ndarray, np.ndarray]:
+    """17x17 generator G + W of v = [mu, cos 2wt, sin 2wt, Sigma, 1] within one leg, w = omega_env, as (G, W).
 
-    F = c0 + c+ e^{2iwt} + c- e^{-2iwt} = c0 + (c+ + c-) cos 2wt + i (c+ - c-) sin 2wt,
-    so b(F) is a fixed combination of the harmonics and the constant entry.
+    F = c0 + c+ e^{2iwt} + c- e^{-2iwt} = c0 + (c+ + c-) cos 2wt + i (c+ - c-) sin 2wt, so b(F) is a fixed
+    combination of the harmonics and the constant entry. W, the drive clock, rotates the harmonics at 2w; G is the rest.
     """
     a = drift(g, params.gamma)
     c0, cp, cm = drive_harmonics(profile, params.delta_r, params.gamma)
     w2 = 2.0 * profile.omega_env
-    out = np.zeros((17, 17))
-    out[:4, :4] = a
-    out[:4, [16, 4, 5]] = drive_column([c0, cp + cm, 1j * (cp - cm)]).T
-    out[4, 5], out[5, 4] = -w2, w2
-    out[6:16, 6:16] = _lyapunov(a)
-    out[6:16, 16] = diffusion(params)
-    return out
+    gen, clock = np.zeros((17, 17)), np.full((17, 17), -0.0)  # x + -0.0 is x, so G + W keeps G's signed zeros
+    gen[:4, :4] = a
+    gen[:4, [16, 4, 5]] = drive_column([c0, cp + cm, 1j * (cp - cm)]).T
+    gen[6:16, 6:16] = _lyapunov(a)
+    gen[6:16, 16] = diffusion(params)
+    clock[4, 5], clock[5, 4] = -w2, w2
+    return gen, clock
 
 
-def _rk4_map(gen: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of dv/dt = ``gen`` v, the drive taken exactly at t, t + h/2 and t + h.
+def _rk4_map(gen: np.ndarray, clock: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dv/dt = (G + W) v, the drive taken exactly at t, t + h/2 and t + h.
 
-    G is ``gen`` with its two harmonic rows zeroed, and U_c rotates (cos, sin)
-    exactly by 2 omega_env c h, the rate read off those rows. The step is
+    G is ``gen`` and W is ``clock``; U_c = e^{W c h} advances the clock exactly. The step is
     P = U_1 + h/6 (G + 2 K2 + 2 K3 + K4) with K2 = G U_1/2 (I + h/2 G),
     K3 = G U_1/2 (I + h/2 K2) and K4 = G U_1 (I + h K3): classical RK4 on
-    (mu, Sigma), as the K rows of the harmonics are zero.
+    (mu, Sigma), as G's harmonic rows, and so the K rows, are zero.
     """
-    w2 = gen[5, 4]
-    g = gen.copy()
-    g[4:6] = 0.0
-    eye = np.eye(len(g))
-    half, full = eye.copy(), eye.copy()
-    for u, angle in ((half, 0.5 * w2 * h), (full, w2 * h)):
-        c, s = math.cos(angle), math.sin(angle)
-        u[4:6, 4:6] = [[c, -s], [s, c]]
-    g_half = g @ half
-    k2 = g_half @ (eye + (0.5 * h) * g)
+    half, full = expm((0.5 * h) * clock), expm(h * clock)
+    eye = np.eye(len(gen))
+    g_half = gen @ half
+    k2 = g_half @ (eye + (0.5 * h) * gen)
     k3 = g_half @ (eye + (0.5 * h) * k2)
-    k4 = (g @ full) @ (eye + h * k3)
-    return full + (h / 6.0) * (g + 2.0 * k2 + 2.0 * k3 + k4)
+    k4 = (gen @ full) @ (eye + h * k3)
+    return full + (h / 6.0) * (gen + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
-def _evolve(leg_map, params, profile, step, t_end, sample_stride, initial) -> Trajectory:
-    """Checked trajectory on :func:`sample_grid`, each leg stepped by ``leg_map(generator, h)``.
+def _evolve(leg_map, params, profile, legs, sample_stride, initial) -> Trajectory:
+    """Checked trajectory on the :func:`sample_grid` ``legs``, each leg stepped by ``leg_map(G, W, h)``.
 
     The state is v = [mu, cos 2wt, sin 2wt, Sigma, 1]; powers of the leg's map reach the kept
     samples, whose raw moments R = Sigma + mu mu^T rebuilds, row 0 as given.
     """
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
     y0 = (initial or MomentState()).as_array()
     mu, sigma0 = _gaussian(y0)
     v = np.concatenate([mu, [1.0, 0.0], sigma0, [1.0]])  # cos = 1, sin = 0 at t = 0
     blocks = [v[None]]
     for leg in legs:
-        e = leg_map(_exact_generator(params.g * leg.window, params, profile), leg.h)
+        e = leg_map(*_exact_generator(params.g * leg.window, params, profile), leg.h)
         states, v = _leg_states(e, v, leg, sample_stride)
         blocks.append(states)
 
@@ -454,11 +443,11 @@ def integrate(
         (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    check_run(step, t_end, params.tau, sample_stride)
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
     cap = max_step(params, profile)
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
-    return _evolve(_rk4_map, params, profile, step, t_end, sample_stride, initial)
+    return _evolve(_rk4_map, params, profile, legs, sample_stride, initial)
 
 
 def propagate(
@@ -480,5 +469,5 @@ def propagate(
     InvariantViolation
         As :func:`integrate`.
     """
-    check_run(step, t_end, params.tau, sample_stride)
-    return _evolve(lambda gen, h: expm(gen * h), params, profile, step, t_end, sample_stride, initial)
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
+    return _evolve(lambda gen, clock, h: expm((gen + clock) * h), params, profile, legs, sample_stride, initial)

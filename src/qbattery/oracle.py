@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_control import drive_field
-from .dynamics import MomentState, check_run, grid_times, sample_grid
+from .dynamics import MomentState, grid_times, sample_grid
 from .errors import InvariantViolation, TruncationLeak
 from .model import DriveProfile, ModelParams
 
@@ -138,12 +138,13 @@ def dense_evolve(
     InvariantViolation
         If the trace drifts beyond 1e-8, which signals too large a step.
     ValueError
-        If a cutoff is below 4 or the grid arguments fail ``check_run``.
+        If a cutoff is below 4 or ``sample_grid`` cannot build the grid.
     """
     n_a, n_b = cutoffs
     if n_a < 4 or n_b < 4:
         raise ValueError(f"cutoffs must be >= 4, got {cutoffs}")
-    check_run(step, t_end, params.tau, sample_stride)
+    # legs split at the coupling switch-off so no stage straddles the jump
+    legs = sample_grid(step, t_end, params.tau, sample_stride)
 
     d = n_a * n_b
     action = _LindbladAction(n_a, n_b, params.gamma, params.nbar)
@@ -172,8 +173,6 @@ def dense_evolve(
 
     guard(0.0)
     states = [snapshot()]
-    # legs split at the coupling switch-off so no stage straddles the jump
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
     for leg in legs:
         h, g, kept = leg.h, params.g * leg.window, set(leg.kept.tolist())
         t = leg.t_start + np.arange(leg.n_steps) * h

@@ -184,6 +184,17 @@ class TestConfigParsing:
         assert err == f"config error: {name}, got {big!r}\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("path", ["", "/", "a\0b.csv"], ids=["empty", "root", "nul"])
+    def test_output_path_that_names_no_file_fails_validation(self, tmp_path, capsys, command, path):
+        # under sweep these used to raise ValueError with a traceback; "" and "/" under simulate gave an io error
+        path = str(tmp_path / path) if "\0" in path else path
+        doc = base_config(path, sweep={"parameter": "F0", "values": [0.1, 0.2]})
+        p = write_config(tmp_path, doc)
+        assert main([command, "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"config error: output.path must be a string naming a file, got {path!r}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestSimulate:
     def test_off_drive_zero_energy_columns(self, tmp_path):
@@ -302,6 +313,18 @@ class TestSweep:
         assert ok["status"] == "ok" and "error_type" not in ok
         assert failed["status"] == "error"
         assert failed["error_type"] == "InvariantViolation"
+
+    def test_failed_points_print_one_runtime_error_line(self, tmp_path, capsys):
+        # stdout, the exit code and the manifest are those of any failed sweep; stderr used to be empty
+        doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "F0", "values": [0.2, 1e300, 1e300]})
+        p = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(p)]) == 2
+        out, err = capsys.readouterr()
+        manifest = tmp_path / "sw.csv.manifest.json"
+        assert out == f"wrote {manifest}\n"
+        first = json.loads(manifest.read_text())["runs"][1]
+        assert first["status"] == "error"
+        assert err == f"runtime error: sweep: 2 of 3 points failed; first F0 = 1e+300: {first['error']}\n"
 
     def test_overflow_reported_only_as_typed_error(self, tmp_path):
         # F0 = 1e300 overflows the squared means; the point's InvariantViolation

@@ -51,6 +51,11 @@ def coherent_pair(alpha, beta):
     )
 
 
+def grid_of(p, profile, step, t_end, sample_stride=1):
+    """sample_grid of an engine's arguments, so that it can stand in for an engine."""
+    return sample_grid(step, t_end, p.tau, sample_stride)
+
+
 def reference_legs(t_end, tau):
     """(t_start, t_stop, window) of [0, t_end] split at the coupling switch-off, built apart from sample_grid."""
     if tau >= t_end:
@@ -183,11 +188,31 @@ def test_generator_matches_reference_rhs(g, gamma, nbar, window, parts, kind, f0
     mu, sigma = _gaussian(y)
     phase = 2.0 * omega_env * t
     v = np.concatenate([mu, [math.cos(phase), math.sin(phase)], sigma, [1.0]])
-    dv = _exact_generator(g * window, p, prof) @ v
+    dv = sum(_exact_generator(g * window, p, prof)) @ v
     dmu = dv[:4]  # dR = dSigma + dmu mu^T + mu dmu^T
     got = _raw_moments(dmu[:, None], (dv[6:16] + sym_outer(dmu, mu))[:, None])[0]
     want = reference_rhs(y, g * window, complex(drive_field(t, prof, p.delta_r, p.gamma)), p)
     assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(y))))
+
+
+@pytest.mark.parametrize("window", [0.0, 1.0])
+@pytest.mark.parametrize("kind", list(DriveKind))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    g=box(0.5, hi=0.5),
+    gamma=box(0.05, 1.0, hi=1.0),
+    nbar=box(1.0, hi=1.0),
+    f0=st.floats(0.0, 2.0),
+    omega_env=st.floats(0.01, 2.0),
+)
+def test_generator_states_its_clock(kind, window, g, gamma, nbar, f0, omega_env):
+    # the pair (G, W): W is only the rotation of (cos, sin) at 2 omega_env, and G leaves those rows out
+    gen, clock = _exact_generator(g * window, params(g=g, gamma=gamma, nbar=nbar, delta_r=0.4),
+                                  DriveProfile(kind, f0=f0, omega_env=omega_env))
+    assert not gen[4:6].any()
+    want = np.zeros((17, 17))
+    want[4, 5], want[5, 4] = -2.0 * omega_env, 2.0 * omega_env
+    assert np.array_equal(clock, want)
 
 
 class TestMomentRhs:
@@ -497,13 +522,13 @@ class TestSampleGrid:
         ],
     )
     def test_engines_name_a_grid_they_cannot_build(self, step, t_end, stride, message):
-        for engine in (integrate, propagate):
+        for engine in (integrate, propagate, grid_of):
             with pytest.raises(ValueError, match=message):
                 engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), step, t_end, stride)
 
     def test_engines_bound_a_run_before_building_its_grid(self):
         # 1e11 + 1 samples: sample_grid's np.arange alone would ask for about 745 GiB
-        for engine in (integrate, propagate, dense_evolve):
+        for engine in (integrate, propagate, dense_evolve, grid_of):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=r"sample_stride 1 keeps 100000000001 samples, past 1000000$"):
@@ -516,7 +541,7 @@ class TestSampleGrid:
 
     def test_engines_reject_a_grid_past_int64_steps(self):
         # the step count is capped while counting, so no grid is built with a coarser step than asked
-        for engine in (integrate, propagate):
+        for engine in (integrate, propagate, grid_of):
             with pytest.raises(ValueError, match=r"step 1e-300 takes more than 9223372036854775806 steps"):
                 engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), 1e-300, 1.0, 10**21)
 
