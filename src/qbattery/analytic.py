@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .cd_control import _cd_denominator
 from .dynamics import default_step, propagate
 from .errors import ResonantEnvelope
 from .model import DriveKind, DriveProfile, ModelParams
@@ -73,12 +74,17 @@ def coefficients(
     ------
     ResonantEnvelope
         When g^2 - (2*omega_env)^2 vanishes and the closed form is singular.
+    SingularDenominator
+        At delta_r = gamma = 0, where the CD drive itself is undefined.
     """
     if profile.kind is not DriveKind.CD_SIN_SQ:
         raise ValueError("closed-form trajectory is defined for the CD-corrected drive")
     if b_interpretation not in B_INTERPRETATIONS:
         raise ValueError(f"unknown interpretation {b_interpretation!r}")
     g, gamma, w, f0 = params.g, params.gamma, profile.omega_env, profile.f0
+    _cd_denominator(params.delta_r, gamma)
+    if g == 0.0:
+        raise ValueError("uncoupled point g = 0 is excluded (beta divides by g^2)")
     den = g * g - 4.0 * w * w
     if abs(den) <= RESONANCE_TOL * max(g * g, 4.0 * w * w):
         raise ResonantEnvelope(f"g^2 - (2*omega_env)^2 = {den:.3e} is resonant")

@@ -191,7 +191,8 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {out_format!r}")
     out_path = out.get("path")
-    if out_path is not None and (not isinstance(out_path, str) or "\0" in out_path or not Path(out_path).name):
+    named = isinstance(out_path, str) and "\0" not in out_path and Path(out_path).name not in ("", "..")
+    if out_path is not None and not named:
         raise ConfigError(f"output.path must be a string naming a file, got {out_path!r}")
 
     config = RunConfig(
@@ -308,15 +309,14 @@ def _csv_chunks(rows: np.ndarray):
 
 def trajectory_rows(traj: Trajectory) -> np.ndarray:
     """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
-    omega0 = traj.params.omega0
-    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, traj.sigma, omega0, traj.times)
+    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, traj.sigma, 1.0, traj.times)  # _over_omega0
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
     rows[:, 2:18:2] = traj.moments.real
     rows[:, 3:18:2] = traj.moments.imag
     rows[:, [7, 9]] = 0.0  # na_im, nb_im: occupations are real
-    rows[:, 18:] = np.column_stack([e_b / omega0, erg / omega0, e_a / omega0, m_value])
+    rows[:, 18:] = np.column_stack([e_b, erg, e_a, m_value])
     return rows
 
 
@@ -391,20 +391,17 @@ def _apply_sweep_value(config: RunConfig, value: float) -> RunConfig:
     )
 
 
-def run_sweep(config: RunConfig) -> tuple[Path, bool]:
-    """Run one simulate per sweep value; returns (manifest path, all_ok)."""
+def run_sweep(config: RunConfig) -> tuple[Path, list]:
+    """Run one simulate per sweep value; returns (manifest path, the manifest entries of the points that failed)."""
     if config.sweep_parameter is None:
         raise ConfigError("sweep requires a 'sweep' section in the config")
     if config.out_path is None:
         raise ConfigError("sweep requires output.path")
     base = Path(config.out_path)
     runs = []
-    all_ok = True
     for i, value in enumerate(config.sweep_values):
         point_path = base.with_name(f"{base.stem}_{i:02d}{base.suffix}")
-        point_config = dataclasses.replace(
-            _apply_sweep_value(config, value), out_path=str(point_path)
-        )
+        point_config = dataclasses.replace(_apply_sweep_value(config, value), out_path=str(point_path))
         entry = {"value": value, "path": point_path.name, "status": "ok"}
         try:
             run_simulate(point_config)
@@ -412,7 +409,6 @@ def run_sweep(config: RunConfig) -> tuple[Path, bool]:
             entry["status"] = "error"
             entry["error"] = str(exc)
             entry["error_type"] = type(exc).__name__
-            all_ok = False
         runs.append(entry)
     manifest = {
         "schema": "qbattery-sweep-v1",
@@ -425,7 +421,7 @@ def run_sweep(config: RunConfig) -> tuple[Path, bool]:
     }
     manifest_path = _manifest_path(base)
     _write_json(manifest_path, manifest)
-    return manifest_path, all_ok
+    return manifest_path, [run for run in runs if run["status"] == "error"]
 
 
 def compare_drives(config: RunConfig) -> dict:
@@ -441,8 +437,7 @@ def compare_drives(config: RunConfig) -> dict:
     argmax = {}
     for name, profile in partners.items():
         traj = propagate(config.params, profile, config.step, config.t_end, config.sample_stride)
-        erg = energetics.energy_columns(traj.moments, traj.sigma, config.params.omega0, traj.times)[1]
-        series = erg / config.params.omega0
+        series = energetics.energy_columns(traj.moments, traj.sigma, 1.0, traj.times)[1]  # over omega0
         k = int(np.argmax(series))
         maxima[name] = float(series[k])
         argmax[name] = float(config.params.g * traj.times[k])
@@ -617,11 +612,10 @@ def main(argv=None) -> int:
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "sweep":
-            manifest, all_ok = run_sweep(config)
+            manifest, failed = run_sweep(config)
             print(f"wrote {manifest}")
-            if all_ok:
+            if not failed:
                 return EXIT_OK
-            failed = [run for run in json.loads(manifest.read_text())["runs"] if run["status"] == "error"]
             raise QBatteryError(f"sweep: {len(failed)} of {len(config.sweep_values)} points failed; first "
                                 f"{config.sweep_parameter} = {failed[0]['value']!r}: {failed[0]['error']}")
         if args.command == "compare":

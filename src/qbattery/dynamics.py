@@ -34,7 +34,7 @@ import numpy as np
 
 from .cd_control import drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
-from .model import DriveKind, DriveProfile, ModelParams
+from .model import DriveProfile, ModelParams
 
 __all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate", "run_size"]
 
@@ -274,8 +274,7 @@ def grid_times(legs: list[Leg]) -> np.ndarray:
 
 def max_step(params: ModelParams, profile: DriveProfile) -> float:
     """Largest RK4 step the accuracy precondition of :func:`integrate` allows."""
-    omega_env = profile.omega_env if profile.kind in (DriveKind.SIN_SQ, DriveKind.CD_SIN_SQ) else 0.0
-    return 0.05 / max(omega_env, params.g, params.gamma, params.omega0)
+    return 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0)
 
 
 def default_step(params: ModelParams, profile: DriveProfile) -> float:
@@ -346,16 +345,13 @@ def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np
     j = leg.kept
     if j.size == 0:
         return np.empty((0, len(v)), dtype=v.dtype), np.linalg.matrix_power(e, leg.n_steps) @ v
-    # kept steps run j[0], j[0] + stride, ...; only the pinned final step may break the pattern
+    # kept steps run j[0], j[0] + stride, ...; only the pinned final step, j = n_steps, may break the pattern
     regular = int(np.count_nonzero((j - j[0]) % stride == 0))
     power = np.linalg.matrix_power(e, stride)
     first = (power if j[0] == stride else np.linalg.matrix_power(e, int(j[0]))) @ v
     states = _orbit(power, first, regular)
-    last = states[-1]
-    if regular < j.size:
-        last = np.linalg.matrix_power(e, int(j[-1] - j[regular - 1])) @ last
-        states = np.vstack([states, last])
-    return states, np.linalg.matrix_power(e, leg.n_steps - int(j[-1])) @ last
+    end = np.linalg.matrix_power(e, leg.n_steps - int(j[regular - 1])) @ states[-1]
+    return (states if regular == j.size else np.vstack([states, end])), end
 
 
 def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> tuple[np.ndarray, np.ndarray]:

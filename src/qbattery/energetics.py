@@ -30,13 +30,13 @@ __all__ = [
     "report_series",
 ]
 
-#: floating-point noise floor for clamping tiny negative ergotropy
+#: floating-point noise floor for clamping tiny negative ergotropy, in units of omega0
 NEGATIVE_CLAMP = 1e-9
 M_PHYSICALITY_TOL = 1e-6
 
 
 class EnergyReport(NamedTuple):
-    """Battery energetics of one moment sample, all in units of omega0."""
+    """Battery energetics of one moment sample: energies scaled by omega0, and M."""
 
     e_b: float
     ergotropy_b: float
@@ -49,32 +49,33 @@ class EnergyReport(NamedTuple):
 def energy_columns(moments: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
 
-    ``moments`` and ``sigma`` are laid out as in :class:`Trajectory`; energies
-    are in units of omega0. M within the tolerance below 1 counts as 1, so the
-    ergotropy never exceeds e_b; a negative ergotropy within the noise floor
-    is clamped to 0.
+    ``moments`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies
+    are checked in units of omega0 and scaled by ``omega0`` once, on return. M
+    within the tolerance below 1 counts as 1, so the ergotropy never exceeds e_b;
+    a negative ergotropy within the noise floor is clamped to 0.
 
     Raises
     ------
     UnphysicalState
-        At the first row with a non-finite moment or Sigma_B entry, M < 1 - 1e-6
-        (no Gaussian state has that covariance) or ergotropy below -1e-9, named
-        with its sample index and time when ``times`` is given.
+        At the first row with a non-finite moment or Sigma_B entry, M < 1 - 1e-6 (no Gaussian
+        state has that covariance), ergotropy below -1e-9 omega0, or an e_b or e_a that
+        overflows, named with its sample index and time when ``times`` is given.
     """
     # real products and libm hypot: numpy's complex multiply and abs run SIMD
     # kernels chosen per CPU that round differently, and artifact bytes must not
-    a, (s22, s23, s33) = moments[:, 0], sigma[7:]
-    e_b = omega0 * moments[:, 3].real
+    a, nb, (s22, s23, s33) = moments[:, 0], moments[:, 3].real, sigma[7:]
     m = (1.0 + 4.0 * s22) * (1.0 + 4.0 * s33) - 16.0 * (s23 * s23)
-    erg = e_b - omega0 * (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0
+    erg = nb - (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0  # in quanta, scaled by omega0 only on return
+    e_b, e_a = omega0 * nb, omega0 * np.hypot(a.real, a.imag) ** 2
     checks = {
         "non-finite moment": ~(np.isfinite(moments).all(axis=1) & np.isfinite(sigma[7:]).all(axis=0)),
         "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
         "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
+        "energy overflows": ~(np.isfinite(e_b) & np.isfinite(e_a)),
     }
-    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy={erg[i]}")
-    erg = np.where(erg < 0.0, 0.0, erg)
-    return e_b, erg, e_b - erg, m, omega0 * np.hypot(a.real, a.imag) ** 2
+    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy/omega0={erg[i]}")
+    erg = omega0 * np.where(erg < 0.0, 0.0, erg)
+    return e_b, erg, e_b - erg, m, e_a
 
 
 def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:
@@ -130,7 +131,7 @@ def decompose(
     ------
     DecompositionMismatch
         Carrying the largest pointwise residual if either identity fails
-        beyond ``tolerance``.
+        beyond ``tolerance``, in units of omega0 (the residuals are energies).
     """
     runs = [
         propagate(params, profile, step, t_end, sample_stride),
@@ -141,8 +142,8 @@ def decompose(
     e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns
     erg_res = float(np.max(np.abs(total[1] - coherent[1])))  # ergotropy columns
     for identity, res in (("energy additivity", e_res), ("ergotropy/coherent-part", erg_res)):
-        if res > tolerance:
-            raise DecompositionMismatch(f"{identity} residual {res:.3e} exceeds {tolerance}", res)
+        if res > tolerance * params.omega0:
+            raise DecompositionMismatch(f"{identity} residual {res:.3e} exceeds {tolerance} omega0", res)
     return DecompositionResult(
         times=runs[0].times,
         total=_reports(total),

@@ -72,8 +72,8 @@ class DriveProfile:
     """Declarative description of the drive field F(t).
 
     ``f0`` is the peak amplitude; ``omega_env`` is the envelope angular
-    frequency of F(t) = f0 * sin^2(omega_env * t) and is unused for the
-    OFF and STATIC kinds.
+    frequency of F(t) = f0 * sin^2(omega_env * t). OFF and STATIC drives do
+    not oscillate: their ``omega_env`` is stored as 0, whatever was given.
     """
 
     kind: DriveKind
@@ -84,7 +84,9 @@ class DriveProfile:
         _require_finite(self, ("f0", "omega_env"))
         if self.f0 < 0:
             raise ConfigError(f"drive amplitude f0 must be >= 0, got {self.f0}")
-        if self.kind in (DriveKind.SIN_SQ, DriveKind.CD_SIN_SQ) and self.omega_env <= 0:
+        if self.kind in (DriveKind.OFF, DriveKind.STATIC):
+            object.__setattr__(self, "omega_env", 0.0)  # so no engine runs a drive clock
+        elif self.omega_env <= 0:
             raise ConfigError(
                 f"omega_env must be > 0 for {self.kind.value} drives, got {self.omega_env}"
             )

@@ -9,7 +9,7 @@ from qbattery.analytic import (
     validate_against_numerics,
 )
 from qbattery.dynamics import integrate
-from qbattery.errors import ResonantEnvelope
+from qbattery.errors import ResonantEnvelope, SingularDenominator
 from qbattery.model import DriveProfile, ModelParams
 
 
@@ -48,6 +48,11 @@ class TestCoefficients:
     def test_requires_cd_profile(self):
         with pytest.raises(ValueError):
             coefficients(params(), DriveProfile.sin_sq(0.1, 0.5))
+
+    def test_undefined_cd_drive_raises_as_the_drive_does(self):
+        # delta_r = gamma = 0 used to raise a bare ZeroDivisionError
+        with pytest.raises(SingularDenominator):
+            coefficients(params(gamma=0.0), DriveProfile.cd_sin_sq(0.1, 0.5))
 
 
 class TestClosedFormTrajectories:
@@ -125,6 +130,11 @@ class TestValidation:
         report = validate_against_numerics(p, prof, t_end=15.0, sample_stride=5)
         assert report.status == "VERIFIED"
         assert report.best == "p"
+
+    def test_uncoupled_point_rejected_by_name(self):
+        # beta divides by g^2: g = 0 used to raise ZeroDivisionError inside beta_analytic
+        with pytest.raises(ValueError, match="g = 0"):
+            validate_against_numerics(params(g=0.0), DriveProfile.cd_sin_sq(0.1, 0.5), t_end=1.0)
 
     def test_requires_zero_temperature(self):
         with pytest.raises(ValueError):

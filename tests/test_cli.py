@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,7 +186,7 @@ class TestConfigParsing:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("path", ["", "/", "a\0b.csv"], ids=["empty", "root", "nul"])
+    @pytest.mark.parametrize("path", ["", "/", "a\0b.csv", ".."], ids=["empty", "root", "nul", "parent"])
     def test_output_path_that_names_no_file_fails_validation(self, tmp_path, capsys, command, path):
         # under sweep these used to raise ValueError with a traceback; "" and "/" under simulate gave an io error
         path = str(tmp_path / path) if "\0" in path else path
@@ -264,8 +265,8 @@ class TestSweep:
             tmp_path / "fig2.csv", sweep={"parameter": "kappa", "values": [0.5, 1.0, 10.0]}
         )
         cfg = parse_config(doc)
-        manifest_path, ok = run_sweep(cfg)
-        assert ok
+        manifest_path, failed = run_sweep(cfg)
+        assert not failed
         manifest = json.loads(manifest_path.read_text())
         assert manifest["engine"] == "exact"
         assert parse_config(manifest["config"]) == cfg
@@ -276,8 +277,8 @@ class TestSweep:
 
     def test_single_value_sweep_matches_simulate(self, tmp_path):
         doc = base_config(tmp_path / "s.csv", sweep={"parameter": "g", "values": [0.3]})
-        _, ok = run_sweep(parse_config(doc))
-        assert ok
+        _, failed = run_sweep(parse_config(doc))
+        assert not failed
         plain = base_config(tmp_path / "plain.csv")
         plain["model"]["g"] = 0.3
         out = run_simulate(parse_config(plain))
@@ -361,6 +362,26 @@ class TestSweep:
         echo["output"]["path"] = str(tmp_path / "rerun.csv")
         again = run_simulate(parse_config(echo))
         assert again.read_bytes() == (tmp_path / "fig3_02.csv").read_bytes()
+
+
+@pytest.mark.parametrize("omega0", [0.7, 3.0, 1e8, 1e308])
+def test_over_omega0_columns_are_read_at_unit_omega0(tmp_path, omega0):
+    # dividing omega0 back out wrote inf at 1e308, failed the clamp at 1e8 and moved e_b off nb at 3.0
+    cd = {"profile": "cd_sin_sq", "f0": 0.2, "omega_env": 0.5}
+    for command, drive, out in (("simulate", {"profile": "off"}, "off.csv"), ("simulate", cd, "cd.csv"),
+                                ("compare", cd, "cmp.json")):
+        doc = base_config(tmp_path / out, drive=drive, numerics={"step": 0.01, "t_end": 20.0, "sample_stride": 10})
+        doc["model"] = {"omega0": omega0, "g": 0.2, "gamma": 0.05, "nbar": 0.3, "tau": 20.0}
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        text = (tmp_path / out).read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        if command == "compare":
+            assert all(math.isfinite(v) for v in json.loads(text)["max_ergotropy_over_omega0"].values())
+            continue
+        header, *lines = (line.split(",") for line in text.splitlines())
+        assert np.isfinite(np.array(lines, dtype=float)).all()
+        e_b, nb = header.index("e_b_over_omega0"), header.index("nb_re")
+        assert all(row[e_b] == row[nb] for row in lines)
 
 
 class TestCompare:

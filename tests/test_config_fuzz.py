@@ -34,7 +34,7 @@ NICE = {
     "drive": {"profile": ["off", "static", "sin_sq", "cd_sin_sq"], "f0": [0.0, 0.2], "omega_env": [0.5, 2.0]},
     "numerics": {"step": [0.01, 0.05, 0.1], "sample_stride": [10, 25, 1000]},
     "sweep": {"parameter": list(SWEEP_PARAMETERS)},
-    "output": {"path": ["out.csv", "out.json", "missing/out.csv", "/", "a\0b.csv"], "format": ["csv", "json"]},
+    "output": {"path": ["out.csv", "out.json", "missing/out.csv", "/", "..", "a\0b.csv"], "format": ["csv", "json"]},
 }
 #: where a malformed value goes: the whole document, a section, or a key of one ("flux" is no key)
 PLACES = [(), ("flux",), *((s,) for s in NICE), *((s, k) for s in NICE for k in [*NICE[s], "flux"]),

@@ -211,8 +211,22 @@ def test_generator_states_its_clock(kind, window, g, gamma, nbar, f0, omega_env)
                                   DriveProfile(kind, f0=f0, omega_env=omega_env))
     assert not gen[4:6].any()
     want = np.zeros((17, 17))
-    want[4, 5], want[5, 4] = -2.0 * omega_env, 2.0 * omega_env
+    w = omega_env if kind in (DriveKind.SIN_SQ, DriveKind.CD_SIN_SQ) else 0.0  # off and static run no clock
+    want[4, 5], want[5, 4] = -2.0 * w, 2.0 * w
     assert np.array_equal(clock, want)
+
+
+@pytest.mark.parametrize("engine", [propagate, integrate])
+@pytest.mark.parametrize("kind,f0", [(DriveKind.OFF, 0.0), (DriveKind.STATIC, 0.2)])
+@pytest.mark.parametrize("omega_env", [0.5, 1e6, 1e12, 1e100, 1e300])
+def test_drive_that_does_not_oscillate_ignores_omega_env(engine, kind, f0, omega_env):
+    # the clock used to spin at 2 omega_env: moments moved by 1.4e-2 at 1e12, and 1e100 gave NaN
+    assert DriveProfile(kind, f0, omega_env) == DriveProfile(kind, f0)
+    p = params(g=0.2, gamma=0.05, nbar=0.3, tau=20.0)
+    want = engine(p, DriveProfile(kind, f0), 0.01, 20.0, 10)
+    got = engine(p, DriveProfile(kind, f0, omega_env), 0.01, 20.0, 10)
+    assert got.moments.tobytes() == want.moments.tobytes()
+    assert got.sigma.tobytes() == want.sigma.tobytes()
 
 
 class TestMomentRhs:

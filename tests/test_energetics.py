@@ -68,6 +68,11 @@ class TestErgotropy:
         rep = ergotropy_b(displaced_thermal(beta, n), omega0=1.0)
         assert rep.ergotropy_b == pytest.approx(abs(beta) ** 2, abs=1e-9)
 
+    def test_energy_overflowing_at_omega0_rejected(self):
+        # nb = 2 at omega0 = 1e308 used to return e_b = inf and a NaN ergotropy
+        with pytest.raises(UnphysicalState, match="energy overflows"):
+            ergotropy_b(MomentState(nb=2.0), 1e308)
+
     def test_unphysical_moments_rejected(self):
         # squeezing claim beyond what the occupation allows: M < 1
         bad = MomentState(nb=0.1, b_sq=0.5 + 0j)
@@ -175,6 +180,17 @@ class TestDecompose:
         assert res.max_energy_residual < 1e-6
         assert res.max_ergotropy_residual < 1e-6
         assert max(r.ergotropy_b for r in res.thermal) <= 1e-9
+
+    def test_large_omega0_scales_the_unit_run(self):
+        # omega0 enters no moment; clamp and residuals are in its units, so 1e8 used to fail the clamp at t = 0.1
+        unit, big = (
+            decompose(ModelParams(omega0=w0, g=0.2, gamma=0.05, nbar=0.3, delta_r=0.0, tau=20.0),
+                      DriveProfile.cd_sin_sq(0.2, 0.5), step=0.01, t_end=20.0, sample_stride=10)
+            for w0 in (1.0, 1e8)
+        )
+        for part in ("total", "thermal", "coherent"):
+            for r1, r8 in zip(getattr(unit, part), getattr(big, part)):
+                assert (r8.e_b, r8.ergotropy_b) == (1e8 * r1.e_b, 1e8 * r1.ergotropy_b)
 
     def test_mismatch_error_carries_residual(self):
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.5, delta_r=0.0, tau=50.0)
