@@ -273,8 +273,9 @@ def grid_times(legs: list[Leg]) -> np.ndarray:
 
 
 def max_step(params: ModelParams, profile: DriveProfile) -> float:
-    """Largest RK4 step the accuracy precondition of :func:`integrate` allows."""
-    return 0.05 / max(profile.omega_env, params.g, params.gamma, params.omega0)
+    """Largest RK4 step :func:`integrate` allows: 0.05 over the fastest rate its equations read (not omega0)."""
+    rate = max(profile.omega_env, params.g, params.gamma)
+    return 0.05 / rate if rate > 0.0 else math.inf
 
 
 def default_step(params: ModelParams, profile: DriveProfile) -> float:
@@ -375,12 +376,13 @@ def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> tu
 def _rk4_map(gen: np.ndarray, clock: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of dv/dt = (G + W) v, the drive taken exactly at t, t + h/2 and t + h.
 
-    G is ``gen`` and W is ``clock``; U_c = e^{W c h} advances the clock exactly. The step is
+    G is ``gen`` and W is ``clock``; U_c = e^{W c h} advances the clock exactly, U_1 = U_1/2 U_1/2. The step is
     P = U_1 + h/6 (G + 2 K2 + 2 K3 + K4) with K2 = G U_1/2 (I + h/2 G),
     K3 = G U_1/2 (I + h/2 K2) and K4 = G U_1 (I + h K3): classical RK4 on
     (mu, Sigma), as G's harmonic rows, and so the K rows, are zero.
     """
-    half, full = expm((0.5 * h) * clock), expm(h * clock)
+    half = expm((0.5 * h) * clock)
+    full = half @ half
     eye = np.eye(len(gen))
     g_half = gen @ half
     k2 = g_half @ (eye + (0.5 * h) * gen)
@@ -433,7 +435,7 @@ def integrate(
     Raises
     ------
     StepTooLarge
-        If ``step`` exceeds 0.05/max(omega_env, g, gamma, omega0).
+        If ``step`` exceeds :func:`max_step`, 0.05/max(omega_env, g, gamma).
     InvariantViolation
         If a retained sample is non-finite or not bona fide beyond tolerance
         (named with its index and time), which signals integrator

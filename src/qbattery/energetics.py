@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import MomentState, Trajectory, _gaussian, propagate, raise_first_failure
-from .errors import DecompositionMismatch, UnphysicalState
+from .errors import UnphysicalState
 from .model import DriveProfile, ModelParams
 
 __all__ = [
@@ -117,21 +117,15 @@ def decompose(
     step: float,
     t_end: float,
     sample_stride: int = 1,
-    tolerance: float = 1e-6,
 ) -> DecompositionResult:
     """Split the stored energy into thermal and coherent contributions.
 
     Runs three trajectories: the configured one, the same bath with the drive
     off, and the same drive at zero temperature. Linearity of the moment
     equations makes the battery energy exactly additive and makes the
-    ergotropy of the full run equal that of the coherent part; both
-    identities are asserted pointwise.
-
-    Raises
-    ------
-    DecompositionMismatch
-        Carrying the largest pointwise residual if either identity fails
-        beyond ``tolerance``, in units of omega0 (the residuals are energies).
+    ergotropy of the full run equal that of the coherent part; the result
+    carries the largest pointwise residual of each identity, in units of
+    omega0, for the caller to judge.
     """
     runs = [
         propagate(params, profile, step, t_end, sample_stride),
@@ -141,9 +135,6 @@ def decompose(
     total, thermal, coherent = (energy_columns(r.moments, r.sigma, params.omega0, r.times) for r in runs)
     e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns
     erg_res = float(np.max(np.abs(total[1] - coherent[1])))  # ergotropy columns
-    for identity, res in (("energy additivity", e_res), ("ergotropy/coherent-part", erg_res)):
-        if res > tolerance * params.omega0:
-            raise DecompositionMismatch(f"{identity} residual {res:.3e} exceeds {tolerance} omega0", res)
     return DecompositionResult(
         times=runs[0].times,
         total=_reports(total),

@@ -37,13 +37,5 @@ class UnphysicalState(QBatteryError):
     """A sample's moments or battery covariance Sigma_B violate Gaussian physicality (M = 16 det sigma_B below 1)."""
 
 
-class DecompositionMismatch(QBatteryError):
-    """Thermal/coherent decomposition identity failed beyond tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ResonantEnvelope(QBatteryError):
     """Envelope frequency hits the resonant denominator of the closed-form trajectory."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qbattery import cli, energetics, oracle
 from qbattery.cli import (
     MAX_ROWS,
     OUTPUT_COLUMNS,
@@ -20,8 +21,9 @@ from qbattery.cli import (
     run_sweep,
     selftest_report,
 )
-from qbattery.dynamics import default_step
-from qbattery.errors import ConfigError
+from qbattery.dynamics import default_step, propagate
+from qbattery.errors import ConfigError, TruncationLeak
+from qbattery.model import DriveKind, DriveProfile, ModelParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +99,17 @@ class TestConfigParsing:
         assert cfg.step == default_step(cfg.params, cfg.profile) == expected
         assert cfg.auto_step and "step" not in cfg.to_dict()["numerics"]
         assert parse_config(cfg.to_dict()) == cfg
+
+    def test_default_step_reads_no_omega0(self, tmp_path):
+        # fig3's model with no numerics.step: omega0 enters no moment equation, so no step
+        doc = base_config(tmp_path / "o.csv")
+        doc["model"].update(gamma=0.05, nbar=0.3, tau=20.0)
+        doc["numerics"] = {"t_end": 20.0, "sample_stride": 10}
+        for w0 in (1.0, 3.0, 1e3, 1e8):
+            doc["model"]["omega0"] = w0
+            cfg = parse_config(doc)
+            assert cfg.step == 0.01
+            assert parse_config(cfg.to_dict()) == cfg
 
     def test_kappa_resolves_detuning(self, tmp_path):
         doc = base_config(tmp_path / "o.csv")
@@ -423,6 +436,19 @@ class TestCompare:
         assert report["config"]["drive"]["profile"] == "cd_sin_sq"
 
 
+def passing_oracle_check():
+    """Stand-in for the oracle group (about 0.8 s) where a test does not exercise it."""
+    return [close_check(name, 0.0, 1e-6) for name in ("moments_vs_oracle_cd_drive", "moments_vs_oracle_static_drive")]
+
+
+def run_selftest(tmp_path, capsys):
+    """Exit code, stdout lines, stderr and JSON report of ``qbattery selftest --json``."""
+    out = tmp_path / "selftest.json"
+    code = main(["selftest", "--json", str(out)])
+    printed = capsys.readouterr()
+    return code, printed.out.splitlines(), printed.err, json.loads(out.read_text())
+
+
 class TestSelftest:
     def test_corrupted_fixture_fails_with_name(self):
         # harness behavior: a deliberately wrong deviation must surface the
@@ -454,6 +480,40 @@ class TestSelftest:
             if check["name"].startswith("moments_vs_oracle"):
                 assert 0.0 < check["max_leak"] < 1e-6
                 assert 0.0 <= check["max_trace_drift"] < 1e-8
+
+    def test_skewed_split_fails_its_own_check(self, tmp_path, capsys, monkeypatch):
+        # the drive-off run's <b'b> off by 1e-4: decompose returns the residual and raises nothing,
+        # and the selftest's check is what fails it, with every other check still reported
+        def skewed(params, profile, *args):
+            traj = propagate(params, profile, *args)
+            if profile.kind is DriveKind.OFF:
+                traj.moments[:, 3] += 1e-4
+            return traj
+
+        monkeypatch.setattr(energetics, "propagate", skewed)
+        monkeypatch.setattr(cli, "_selftest_oracle_check", passing_oracle_check)
+        params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.5, delta_r=0.0, tau=10.0)
+        result = energetics.decompose(params, DriveProfile.cd_sin_sq(0.3, 0.5), 0.005, 10.0, 10)
+        assert result.max_energy_residual == pytest.approx(1e-4)
+        code, lines, err, report = run_selftest(tmp_path, capsys)
+        assert code == 3 and err == ""
+        assert len(lines) == 9 and lines[-1] == "selftest: FAIL"
+        assert "decomposition_energy_additivity: FAIL" in lines
+        assert report["status"] == "fail" and len(report["checks"]) == 8
+
+    def test_a_group_that_raises_is_one_failed_check(self, tmp_path, capsys, monkeypatch):
+        def leak(*args, **kwargs):
+            raise TruncationLeak("forced")
+
+        monkeypatch.setattr(oracle, "dense_evolve", leak)
+        code, lines, err, report = run_selftest(tmp_path, capsys)
+        assert code == 3 and err == ""
+        assert lines[0] == "oracle_check: FAIL" and lines[-1] == "selftest: FAIL"
+        assert len(lines) == 8  # the failed group's record, the 6 checks of the other groups, the verdict
+        failed, *others = report["checks"]
+        assert (failed["name"], failed["status"], failed["error"]) == ("oracle_check", "fail", "TruncationLeak: forced")
+        assert report["status"] == "fail" and len(others) == 6
+        assert all(c["status"] in ("pass", "warn") for c in others)
 
 
 class TestEntryPoint:

@@ -289,6 +289,15 @@ class TestIntegrate:
         with pytest.raises(StepTooLarge):
             integrate(params(), prof, 0.02, 1.0)
 
+    def test_step_cap_reads_no_omega0(self):
+        # omega0 enters neither engine: fig3's rates cap the step at 0.05 / omega_env at any omega0
+        prof = DriveProfile.cd_sin_sq(0.2, 0.5)
+        for w0 in (1.0, 1e3):
+            p = ModelParams(omega0=w0, g=0.2, gamma=0.05, nbar=0.3, delta_r=0.0, tau=20.0)
+            assert max_step(p, prof) == 0.05 / 0.5
+        assert integrate(p, prof, 0.01, 0.5).times[-1] == pytest.approx(0.5)
+        assert max_step(params(), DriveProfile.off()) == math.inf  # no rate at all: no cap
+
     def test_number_conservation_closed_limit(self):
         traj = integrate(
             params(g=0.5),
@@ -665,7 +674,7 @@ class TestExactPropagator:
         assert np.array_equal(traj.moments[:, 4].imag, ai * br - ar * bi)
 
     def test_steps_beyond_the_rk4_cap_stay_exact(self):
-        # fig3's physics at step 0.2, 4x integrate's cap 0.05: the samples of step 0.01, stride 20
+        # fig3's physics at step 0.2, 2x integrate's cap 0.1: the samples of step 0.01, stride 20
         p = params(g=0.2, gamma=0.05, tau=20.0)
         prof = DriveProfile.cd_sin_sq(0.2, 0.5)
         coarse = propagate(p, prof, 0.2, 20.0)

@@ -14,7 +14,7 @@ from qbattery.energetics import (
     ergotropy_b,
     report_series,
 )
-from qbattery.errors import DecompositionMismatch, UnphysicalState
+from qbattery.errors import UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve, extract_moments
 
@@ -191,13 +191,6 @@ class TestDecompose:
         for part in ("total", "thermal", "coherent"):
             for r1, r8 in zip(getattr(unit, part), getattr(big, part)):
                 assert (r8.e_b, r8.ergotropy_b) == (1e8 * r1.e_b, 1e8 * r1.ergotropy_b)
-
-    def test_mismatch_error_carries_residual(self):
-        params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.5, delta_r=0.0, tau=50.0)
-        prof = DriveProfile.cd_sin_sq(0.3, 0.5)
-        with pytest.raises(DecompositionMismatch) as err:
-            decompose(params, prof, step=0.01, t_end=5.0, tolerance=0.0)
-        assert err.value.residual > 0.0
 
 
 def passive_energy_dense(rho_b, omega0):
