@@ -309,7 +309,7 @@ def _csv_chunks(rows: np.ndarray):
 
 def trajectory_rows(traj: Trajectory) -> np.ndarray:
     """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
-    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.moments, traj.sigma, 1.0, traj.times)  # _over_omega0
+    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)  # _over_omega0
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
@@ -435,7 +435,7 @@ def compare_drives(config: RunConfig) -> dict:
     argmax = {}
     for name, profile in partners.items():
         traj = propagate(config.params, profile, config.step, config.t_end, config.sample_stride)
-        series = energetics.energy_columns(traj.moments, traj.sigma, 1.0, traj.times)[1]  # over omega0
+        series = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)[1]  # over omega0
         k = int(np.argmax(series))
         maxima[name] = float(series[k])
         argmax[name] = float(config.params.g * traj.times[k])

@@ -7,9 +7,9 @@ covariance Sigma = sigma - I/4, sigma_ij = <{dr_i, dr_j}>/2, obey
     dmu/dt = A mu + b(F),    dSigma/dt = A Sigma + Sigma A^T + D.
 
 :func:`drift`, :func:`diffusion` and :func:`drive_column` are the one
-definition of the model. A :class:`Trajectory` keeps Sigma, which energetics
-reads, and the moments, entries of R = Sigma + mu mu^T, e.g. <a^dag a> = R00 +
-R11; symmetric 4x4 matrices are packed as their 10 upper-triangle entries.
+definition of the model. A :class:`Trajectory` stores mu and Sigma, which energetics
+reads; its moments, entries of R = Sigma + mu mu^T, e.g. <a^dag a> = R00 + R11, are
+derived on first read. Symmetric 4x4 matrices are packed as their 10 upper-triangle entries.
 Every drive is a sum of the harmonics {0, +-2i omega_env}, so within a leg of
 :func:`sample_grid` the 17 entries [mu, cos 2 omega_env t, sin 2 omega_env t,
 Sigma, 1] obey a constant linear system of generator G + W, where W rotates the
@@ -85,28 +85,22 @@ def _lyapunov(a: np.ndarray) -> np.ndarray:
     return (au + au.transpose(0, 2, 1))[:, _ROW, _COL].T
 
 
-def _split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, packed R) of the moments ``y`` (8 or (n, 8)); :func:`_raw_moments` is its inverse."""
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails the caller's check
+def _gaussian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, packed Sigma = R - mu mu^T) of the moments ``y`` (8 or (n, 8)); :func:`_raw_moments` is its inverse."""
     a, b, na, nb, c, a2, b2, ab = y.T
     na, nb = na.real, nb.real
     mu = np.array([a.real, a.imag, b.real, b.imag])
-    r = [na + a2.real, a2.imag, c.real + ab.real, ab.imag - c.imag, na - a2.real,
-         ab.imag + c.imag, c.real - ab.real, nb + b2.real, b2.imag, nb - b2.real]
-    return mu, 0.5 * np.array(r)
-
-
-@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails the caller's check
-def _gaussian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, packed Sigma = R - mu mu^T) of the moments ``y`` (8 or (n, 8)): the one centering of raw moments."""
-    mu, r = _split(y)
+    r = 0.5 * np.array([na + a2.real, a2.imag, c.real + ab.real, ab.imag - c.imag, na - a2.real,
+                        ab.imag + c.imag, c.real - ab.real, nb + b2.real, b2.imag, nb - b2.real])
     return mu, np.array([x - mu[i] * mu[j] for x, i, j in zip(r, _ROW, _COL)])
 
 
-def _raw_moments(mu, r) -> np.ndarray:
-    """(n, 8) complex moments of n samples of mu and packed R, written in one pass of real arithmetic."""
+def _raw_moments(mu, sigma) -> np.ndarray:
+    """(n, 8) complex moments of n samples of mu and packed Sigma, in real arithmetic: the one place R is formed."""
     out = np.empty((len(mu[0]), 8), dtype=complex)
     re, im = out.real, out.imag
-    r00, r01, r02, r03, r11, r12, r13, r22, r23, r33 = r
+    r00, r01, r02, r03, r11, r12, r13, r22, r23, r33 = (x + mu[i] * mu[j] for x, i, j in zip(sigma, _ROW, _COL))
     re[:, 0], im[:, 0], re[:, 1], im[:, 1] = mu
     re[:, 2], re[:, 3], im[:, 2:4] = r00 + r11, r22 + r33, 0.0
     re[:, 4], im[:, 4] = r02 + r13, r12 - r03
@@ -285,17 +279,22 @@ def default_step(params: ModelParams, profile: DriveProfile) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled moment history of one run; immutable once produced.
+    """Sampled Gaussian state of one run; immutable once produced.
 
-    ``moments`` has one row per retained sample in the order
-    (a_mean, b_mean, na, nb, ab_dag, a_sq, b_sq, ab); ``sigma`` is the (10, n)
-    packed Sigma of the same samples, component first, as the engine computed it.
+    ``mu`` (4, n) and ``sigma`` (10, n) are the means and the packed Sigma of
+    the retained samples, component first, as the engine computed them; row 0
+    is the initial state. ``moments`` is derived from them on first read.
     """
 
     times: np.ndarray
-    moments: np.ndarray
+    mu: np.ndarray
     sigma: np.ndarray
     params: ModelParams
+
+    @functools.cached_property
+    def moments(self) -> np.ndarray:
+        """(n, 8) raw moments, one row per sample: (a_mean, b_mean, na, nb, ab_dag, a_sq, b_sq, ab)."""
+        return _raw_moments(self.mu, self.sigma)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -396,11 +395,10 @@ def _evolve(leg_map, params, profile, legs, sample_stride, initial) -> Trajector
     """Checked trajectory on the :func:`sample_grid` ``legs``, each leg stepped by ``leg_map(G, W, h)``.
 
     The state is v = [mu, cos 2wt, sin 2wt, Sigma, 1]; powers of the leg's map reach the kept
-    samples, whose raw moments R = Sigma + mu mu^T rebuilds, row 0 as given.
+    samples, whose mu and Sigma are sliced from it, row 0 the initial state's.
     """
-    y0 = (initial or MomentState()).as_array()
-    mu, sigma0 = _gaussian(y0)
-    v = np.concatenate([mu, [1.0, 0.0], sigma0, [1.0]])  # cos = 1, sin = 0 at t = 0
+    mu, sigma = _gaussian((initial or MomentState()).as_array())
+    v = np.concatenate([mu, [1.0, 0.0], sigma, [1.0]])  # cos = 1, sin = 0 at t = 0
     blocks = [v[None]]
     for leg in legs:
         e = leg_map(*_exact_generator(params.g * leg.window, params, profile), leg.h)
@@ -408,12 +406,9 @@ def _evolve(leg_map, params, profile, legs, sample_stride, initial) -> Trajector
         blocks.append(states)
 
     vs = np.concatenate(blocks).T
-    mu, sigma = vs[:4], vs[6:16]
-    r = [x + mu[i] * mu[j] for x, i, j in zip(sigma, _ROW, _COL)]
-    times, moments = grid_times(legs), _raw_moments(mu, r)
-    moments[0] = y0
-    _check_physical(moments, sigma, PHYSICALITY_TOL, times)
-    return Trajectory(times=times, moments=moments, sigma=sigma, params=params)
+    traj = Trajectory(times=grid_times(legs), mu=vs[:4], sigma=vs[6:16], params=params)
+    _check_physical(traj.moments, traj.sigma, PHYSICALITY_TOL, traj.times)
+    return traj
 
 
 def integrate(

@@ -6,10 +6,10 @@ covariance the engine propagates, :attr:`Trajectory.sigma`, with no centering:
 
     M = 16 det sigma_B = (1 + 4 Sigma22)(1 + 4 Sigma33) - 16 Sigma23^2,
 
-the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2). Physical Gaussian
-states have M >= 1. :func:`energy_columns` evaluates this on every row at once;
-:func:`ergotropy_b` is a one-row call of it, so a series and its samples share
-one formula and one set of checks.
+the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2), <b'b> = Sigma22 + Sigma33 + |<b>|^2.
+Physical Gaussian states have M >= 1. :func:`energy_columns` evaluates this on every sample of
+mu and Sigma at once and reads nothing else; :func:`ergotropy_b` is a one-row call of it, so a
+series and its samples share one formula and one set of checks.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import MomentState, Trajectory, _gaussian, propagate, raise_first_failure
-from .errors import UnphysicalState
+from .errors import ConfigError, UnphysicalState
 from .model import DriveProfile, ModelParams
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "report_series",
 ]
 
-#: floating-point noise floor for clamping tiny negative ergotropy, in units of omega0
+#: floating-point noise floor for clamping tiny negative ergotropy, in units of omega0 max(1, <b'b>)
 NEGATIVE_CLAMP = 1e-9
 M_PHYSICALITY_TOL = 1e-6
 
@@ -46,31 +46,36 @@ class EnergyReport(NamedTuple):
 
 
 @np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
-def energy_columns(moments: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
-    """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the rows of ``moments``.
+def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
+    """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the samples of means ``mu`` and packed Sigma ``sigma``.
 
-    ``moments`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies
-    are checked in units of omega0 and scaled by ``omega0`` once, on return. M
+    ``mu`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies are
+    checked in units of omega0 and scaled by ``omega0`` once, on return. M
     within the tolerance below 1 counts as 1, so the ergotropy never exceeds e_b;
     a negative ergotropy within the noise floor is clamped to 0.
 
     Raises
     ------
+    ConfigError
+        If ``omega0`` is not finite and > 0, as :class:`ModelParams` requires.
     UnphysicalState
-        At the first row with a non-finite moment or Sigma_B entry, M < 1 - 1e-6 (no Gaussian
-        state has that covariance), ergotropy below -1e-9 omega0, or an e_b or e_a that
-        overflows, named with its sample index and time when ``times`` is given.
+        At the first row with a non-finite mean or Sigma entry, M < 1 - 1e-6 (no Gaussian
+        state has that covariance), ergotropy below -1e-9 omega0 max(1, <b'b>), or an e_b or
+        e_a that overflows, named with its sample index and time when ``times`` is given.
     """
+    if not 0.0 < omega0 < np.inf:
+        raise ConfigError(f"omega0 must be finite and > 0, got {omega0}")
     # real products and libm hypot: numpy's complex multiply and abs run SIMD
     # kernels chosen per CPU that round differently, and artifact bytes must not
-    a, nb, (s22, s23, s33) = moments[:, 0], moments[:, 3].real, sigma[7:]
+    s22, s23, s33 = sigma[7:]
+    nb = (s22 + mu[2] * mu[2]) + (s33 + mu[3] * mu[3])
     m = (1.0 + 4.0 * s22) * (1.0 + 4.0 * s33) - 16.0 * (s23 * s23)
     erg = nb - (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0  # in quanta, scaled by omega0 only on return
-    e_b, e_a = omega0 * nb, omega0 * np.hypot(a.real, a.imag) ** 2
+    e_b, e_a = omega0 * nb, omega0 * np.hypot(mu[0], mu[1]) ** 2
     checks = {
-        "non-finite moment": ~(np.isfinite(moments).all(axis=1) & np.isfinite(sigma[7:]).all(axis=0)),
+        "non-finite moment": ~(np.isfinite(mu).all(axis=0) & np.isfinite(sigma).all(axis=0)),
         "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
-        "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP,
+        "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP * np.maximum(1.0, nb),
         "energy overflows": ~(np.isfinite(e_b) & np.isfinite(e_a)),
     }
     raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy/omega0={erg[i]}")
@@ -87,16 +92,15 @@ def ergotropy_b(state: MomentState, omega0: float) -> EnergyReport:
 
     Raises
     ------
-    UnphysicalState
+    ConfigError, UnphysicalState
         As :func:`energy_columns`, for this one state.
     """
-    y = state.as_array()[None, :]
-    return _reports(energy_columns(y, _gaussian(y)[1], omega0))[0]
+    return _reports(energy_columns(*_gaussian(state.as_array()[None, :]), omega0))[0]
 
 
 def report_series(traj: Trajectory) -> list[EnergyReport]:
     """Energetics of every retained sample of a trajectory."""
-    return _reports(energy_columns(traj.moments, traj.sigma, traj.params.omega0, traj.times))
+    return _reports(energy_columns(traj.mu, traj.sigma, traj.params.omega0, traj.times))
 
 
 @dataclass
@@ -132,7 +136,7 @@ def decompose(
         propagate(params, DriveProfile.off(), step, t_end, sample_stride),
         propagate(replace(params, nbar=0.0), profile, step, t_end, sample_stride),
     ]
-    total, thermal, coherent = (energy_columns(r.moments, r.sigma, params.omega0, r.times) for r in runs)
+    total, thermal, coherent = (energy_columns(r.mu, r.sigma, params.omega0, r.times) for r in runs)
     e_res = float(np.max(np.abs(total[0] - (thermal[0] + coherent[0]))))  # e_b columns
     erg_res = float(np.max(np.abs(total[1] - coherent[1])))  # ergotropy columns
     return DecompositionResult(

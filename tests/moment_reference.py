@@ -37,6 +37,19 @@ def rhs(y: np.ndarray, g: float, f, params: ModelParams) -> np.ndarray:
     return dy
 
 
+def split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, packed R) of the moments ``y``, R = Sigma + mu mu^T packed as (00, 01, 02, 03, 11, 12, 13, 22, 23, 33).
+
+    Inverts <a^dag a> = R00 + R11, <a^2> = R00 - R11 + 2i R01, <a b^dag> = R02 + R13 + i (R12 - R03),
+    <ab> = R02 - R13 + i (R03 + R12), and alike for b, with mu = (Re <a>, Im <a>, Re <b>, Im <b>).
+    """
+    a, b, na, nb, abd, a2, b2, ab = y
+    mu = np.array([a.real, a.imag, b.real, b.imag])
+    r = [na.real + a2.real, a2.imag, abd.real + ab.real, ab.imag - abd.imag, na.real - a2.real,
+         abd.imag + ab.imag, abd.real - ab.real, nb.real + b2.real, b2.imag, nb.real - b2.real]
+    return mu, 0.5 * np.array(r)
+
+
 def moment_rhs(t: float, state: MomentState, params: ModelParams, profile: DriveProfile) -> MomentState:
     """Time derivative of every moment at time ``t``.
 

@@ -164,7 +164,7 @@ def test_csv_body_matches_per_value_writer_on_edges():
 def long_and_empty_trajectories():
     params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.0, delta_r=0.0, tau=20.0)
     traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 20.0, sample_stride=1)
-    empty = Trajectory(times=traj.times[:0], moments=traj.moments[:0], sigma=traj.sigma[:, :0], params=params)
+    empty = Trajectory(times=traj.times[:0], mu=traj.mu[:, :0], sigma=traj.sigma[:, :0], params=params)
     return traj, empty
 
 
@@ -210,7 +210,7 @@ def test_unphysical_rows_leave_no_file(tmp_path, fmt):
     traj = propagate(params, DriveProfile.static(0.2), 0.01, 1.0, sample_stride=1)
     sigma = traj.sigma.copy()
     sigma[7, 50] = -0.5  # Sigma22 below -1/4: M < 1 at sample 50
-    bad = Trajectory(times=traj.times, moments=traj.moments, sigma=sigma, params=params)
+    bad = Trajectory(times=traj.times, mu=traj.mu, sigma=sigma, params=params)
     path = tmp_path / f"run.{fmt}"
     with pytest.raises(UnphysicalState, match="M below 1"):
         write_trajectory(path, bad, fmt, ECHO)

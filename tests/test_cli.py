@@ -211,6 +211,21 @@ class TestConfigParsing:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("drive", [{"profile": "off"}, {"profile": "cd_sin_sq", "f0": 0.2, "omega_env": 0.5}],
+                             ids=["off", "cd_sin_sq"])
+    @pytest.mark.parametrize("nbar", [1e8, 1e12, 1e20, 1e60])
+    def test_hot_bath_passes_the_relative_floor(self, tmp_path, capsys, nbar, drive):
+        # the clamp floor scales with <b'b>: an absolute -1e-9 failed on the rounding of nb - (sqrt(M) - 1)/2
+        numerics = {"step": 0.01, "t_end": 20.0, "sample_stride": 10}
+        doc = base_config(tmp_path / "out.csv", drive=drive, numerics=numerics)
+        doc["model"].update(gamma=0.05, nbar=nbar, tau=20.0)
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0, capsys.readouterr().err
+        rows = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
+        cols = {name: rows[:, i] for i, name in enumerate(OUTPUT_COLUMNS)}
+        assert len(rows) == 201 and np.isfinite(rows).all()
+        assert (cols["ergotropy_b_over_omega0"] >= 0.0).all()
+        assert (cols["ergotropy_b_over_omega0"] <= cols["e_b_over_omega0"]).all()
+
     def test_off_drive_zero_energy_columns(self, tmp_path):
         doc = base_config(tmp_path / "out.csv")
         doc["drive"] = {"profile": "off"}
@@ -487,7 +502,7 @@ class TestSelftest:
         def skewed(params, profile, *args):
             traj = propagate(params, profile, *args)
             if profile.kind is DriveKind.OFF:
-                traj.moments[:, 3] += 1e-4
+                traj.sigma[[7, 9]] += 0.5e-4  # Sigma_B stays isotropic, so only <b'b> moves
             return traj
 
         monkeypatch.setattr(energetics, "propagate", skewed)

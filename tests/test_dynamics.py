@@ -3,23 +3,23 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_reference import moment_rhs, rhs as reference_rhs
+from moment_reference import moment_rhs, rhs as reference_rhs, split
 from qbattery.cd_control import drive_field
 from qbattery.dynamics import (
     PHYSICALITY_TOL,
     MomentState,
+    Trajectory,
     _check_physical,
     _exact_generator,
     _gaussian,
     _raw_moments,
-    _split,
     expm,
     grid_times,
     integrate,
@@ -73,14 +73,13 @@ def sym_outer(u, mu):
 
 
 def raw(x):
-    """Raw moments of x = [mu, packed Sigma], as R = Sigma + mu mu^T."""
-    mu = x[:4]
-    return _raw_moments(mu[:, None], (x[4:] + 0.5 * sym_outer(mu, mu))[:, None])[0]
+    """Raw moments of x = [mu, packed Sigma]."""
+    return _raw_moments(x[:4, None], x[4:, None])[0]
 
 
 def centered_rhs(t, x, p, prof):
     """d/dt of x = [mu, packed Sigma] from moment_rhs, by the chain rule dSigma = dR - dmu mu^T - mu dmu^T."""
-    dmu, dr = _split(moment_rhs(t, MomentState.from_array(raw(x)), p, prof).as_array())
+    dmu, dr = split(moment_rhs(t, MomentState.from_array(raw(x)), p, prof).as_array())
     return np.concatenate([dmu, dr - sym_outer(dmu, x[:4])])
 
 
@@ -179,19 +178,20 @@ unit = st.floats(-2.0, 2.0)
     t=st.floats(0.0, 20.0),
 )
 def test_generator_matches_reference_rhs(g, gamma, nbar, window, parts, kind, f0, omega_env, t):
-    # the (A, D, b) generator on v = [mu, cos 2wt, sin 2wt, Sigma, 1], read back as moments,
+    # the (A, D, b) generator on v = [mu, cos 2wt, sin 2wt, Sigma, 1], read back as (mu, R),
     # is the term-by-term derivative at the field F = drive_field(t)
     p = params(g=g, gamma=gamma, nbar=nbar, delta_r=0.4)
     prof = DriveProfile(kind, f0=f0, omega_env=omega_env)
     y = np.array(parts[:8]) + 1j * np.array(parts[8:])
     y[2:4] = y[2:4].real  # occupations are real
-    mu, sigma = _gaussian(y)
+    mu, r = split(y)
     phase = 2.0 * omega_env * t
-    v = np.concatenate([mu, [math.cos(phase), math.sin(phase)], sigma, [1.0]])
+    v = np.concatenate([mu, [math.cos(phase), math.sin(phase)], r - 0.5 * sym_outer(mu, mu), [1.0]])
     dv = sum(_exact_generator(g * window, p, prof)) @ v
     dmu = dv[:4]  # dR = dSigma + dmu mu^T + mu dmu^T
-    got = _raw_moments(dmu[:, None], (dv[6:16] + sym_outer(dmu, mu))[:, None])[0]
-    want = reference_rhs(y, g * window, complex(drive_field(t, prof, p.delta_r, p.gamma)), p)
+    got = np.concatenate([dmu, dv[6:16] + sym_outer(dmu, mu)])
+    f = complex(drive_field(t, prof, p.delta_r, p.gamma))
+    want = np.concatenate(split(reference_rhs(y, g * window, f, p)))
     assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(y))))
 
 
@@ -656,10 +656,21 @@ class TestExactPropagator:
         assert exact.times.tolist() == [0.0, 3.0]
 
     def test_first_row_is_the_initial_state(self):
+        # row 0 is the start's (mu, Sigma) bit for bit; its moments are rebuilt from them
         start = STARTS["injected"]
+        mu, sigma = _gaussian(start.as_array())
         p = params(g=0.2, gamma=0.3, tau=1.0)
-        traj = propagate(p, DriveProfile.static(0.2), 0.01, 2.0, 5, initial=start)
-        assert np.array_equal(traj.moments[0], start.as_array())
+        for engine in (integrate, propagate):
+            traj = engine(p, DriveProfile.static(0.2), 0.01, 2.0, 5, initial=start)
+            assert traj.mu[:, 0].tobytes() == mu.tobytes()
+            assert traj.sigma[:, 0].tobytes() == sigma.tobytes()
+            vacuum = engine(p, DriveProfile.static(0.2), 0.01, 2.0, 5)  # every CLI run's start
+            assert not vacuum.moments[0].view(np.uint64).any()  # +0.0 throughout
+
+    def test_trajectory_stores_only_mu_and_sigma(self):
+        traj = propagate(params(g=0.2, gamma=0.3, nbar=0.3), DriveProfile.static(0.2), 0.01, 1.0, 10)
+        assert [f.name for f in fields(Trajectory)] == ["times", "mu", "sigma", "params"]
+        assert traj.moments is traj.moments  # derived once, on first read
 
     def test_zero_temperature_stays_coherent(self):
         # the covariance of a T = 0 run from the vacuum stays exactly the vacuum's, so the

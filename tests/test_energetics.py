@@ -14,7 +14,7 @@ from qbattery.energetics import (
     ergotropy_b,
     report_series,
 )
-from qbattery.errors import UnphysicalState
+from qbattery.errors import ConfigError, UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve, extract_moments
 
@@ -32,9 +32,8 @@ def displaced_thermal(beta, n):
 
 
 def columns(states, omega0):
-    """energy_columns of one row per state, with the Sigma the engines take from a start state."""
-    moments = np.array([s.as_array() for s in states])
-    return energy_columns(moments, _gaussian(moments)[1], omega0)
+    """energy_columns of one row per state, with the (mu, Sigma) the engines take from a start state."""
+    return energy_columns(*_gaussian(np.array([s.as_array() for s in states])), omega0)
 
 
 class TestEnergy:
@@ -72,6 +71,17 @@ class TestErgotropy:
         # nb = 2 at omega0 = 1e308 used to return e_b = inf and a NaN ergotropy
         with pytest.raises(UnphysicalState, match="energy overflows"):
             ergotropy_b(MomentState(nb=2.0), 1e308)
+
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_omega0_that_model_params_refuses_is_refused(self, omega0):
+        # -1.0 used to return e_b = passive = -1.0, and 0.0 all zeros
+        with pytest.raises(ConfigError, match="omega0 must be finite and > 0"):
+            ergotropy_b(MomentState(nb=1.0), omega0)
+
+    def test_negative_occupation_fails_the_floor(self):
+        # Sigma22 = Sigma33 = -1 is no covariance: M = 9 passes the discriminant, the ergotropy is -3
+        with pytest.raises(UnphysicalState, match="ergotropy below clamp threshold: M=9.0, ergotropy/omega0=-3.0"):
+            ergotropy_b(MomentState(nb=-2.0), 1.0)
 
     def test_unphysical_moments_rejected(self):
         # squeezing claim beyond what the occupation allows: M < 1
@@ -112,11 +122,11 @@ class TestErgotropy:
         # ``entry`` is the packed Sigma entry energetics reads
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
         traj = integrate(params, DriveProfile.cd_sin_sq(0.3, 0.5), 0.01, 1.0, sample_stride=10)
-        sigma, moments = traj.sigma.copy(), traj.moments.copy()
+        sigma, mu = traj.sigma.copy(), traj.mu.copy()
         sigma[entry, row] = value
-        moments[row + 2, 3] = math.inf  # a later bad sample is not the one named
+        mu[2, row + 2] = math.inf  # a later bad sample is not the one named
         with pytest.raises(UnphysicalState, match=message):
-            report_series(dataclasses.replace(traj, moments=moments, sigma=sigma))
+            report_series(dataclasses.replace(traj, mu=mu, sigma=sigma))
 
     def test_report_invariants_along_trajectory(self):
         params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.4, delta_r=0.0, tau=50.0)
@@ -259,7 +269,7 @@ def test_passive_generator_keeps_battery_isotropic(g, gamma, nbar, delta_r, prof
     # stays isotropic (Sigma22 = Sigma33, Sigma23 = 0), so its ergotropy is omega0 |beta|^2
     params = ModelParams(omega0=1.0, g=g, gamma=gamma, nbar=nbar, delta_r=delta_r, tau=12.0)
     traj = propagate(params, profile, 0.01, 20.0, sample_stride=1)
-    e_b, erg, *_ = energy_columns(traj.moments, traj.sigma, params.omega0, traj.times)
+    e_b, erg, *_ = energy_columns(traj.mu, traj.sigma, params.omega0, traj.times)
     beta = traj.moments[:, 1]
     tol = 1e-12 * max(1.0, float(np.max(e_b)))
     assert np.max(np.abs(traj.sigma[7] - traj.sigma[9])) <= tol
