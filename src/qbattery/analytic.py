@@ -40,7 +40,8 @@ class AnalyticCoefficients:
 
     ``epsilon`` is the principal square root of gamma^2 - (4g)^2, purely
     imaginary in the underdamped regime. ``b_value`` records the value used
-    for the undefined symbol under ``interpretation``.
+    for the undefined symbol under ``interpretation``. gamma and g are read
+    from the run's ModelParams, which both closed forms take.
     """
 
     d: complex
@@ -50,14 +51,6 @@ class AnalyticCoefficients:
     b_value: complex
     interpretation: str
     drive_omega: float
-    gamma: float
-    g: float
-
-    def __post_init__(self):
-        if abs(self.epsilon**2 - (self.gamma**2 - 16.0 * self.g**2)) > 1e-12 * max(
-            1.0, abs(self.epsilon) ** 2
-        ):
-            raise ValueError("epsilon inconsistent with gamma and g")
 
 
 def coefficients(
@@ -116,8 +109,6 @@ def coefficients(
         b_value=complex(b_value),
         interpretation=b_interpretation,
         drive_omega=w,
-        gamma=gamma,
-        g=g,
     )
 
 

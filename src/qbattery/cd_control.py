@@ -22,9 +22,7 @@ MIN_GAP = 1e-8
 def _cd_denominator(delta_r: float, gamma: float) -> complex:
     den = delta_r - 0.5j * gamma
     if abs(den) == 0.0:
-        raise SingularDenominator(
-            "counterdiabatic correction undefined for delta_r = 0 and gamma = 0"
-        )
+        raise SingularDenominator("CD-corrected drive requires gamma or delta_r nonzero")
     return den
 
 

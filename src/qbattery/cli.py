@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import energetics
-from .cd_control import cd_hamiltonian_closed, propagate_unitary
-from .dynamics import MAX_ROWS, MAX_STEPS, MomentState, Trajectory, default_step, integrate, propagate, run_size
-from .errors import ConfigError, QBatteryError
+from .cd_control import cd_hamiltonian_closed, drive_harmonics, propagate_unitary
+from .dynamics import MAX_ROWS, MomentState, Trajectory, default_step, integrate, propagate, run_size
+from .errors import ConfigError, QBatteryError, SingularDenominator
 from .model import DriveKind, DriveProfile, ModelParams
 
 __all__ = ["OUTPUT_COLUMNS", "RunConfig", "load_config", "main", "selftest_report"]
@@ -122,15 +122,15 @@ def _number(section: dict, key: str, name: str, default=None) -> float:
 
 
 def _check_point(config: RunConfig) -> None:
-    """Reject a run or sweep point with a vanishing CD denominator, or a grid past int64 steps or MAX_ROWS samples."""
-    params, profile = config.params, config.profile
-    if profile.kind is DriveKind.CD_SIN_SQ and params.gamma == 0.0 and params.delta_r == 0.0:
-        raise ConfigError("CD-corrected drive requires gamma or delta_r nonzero")
-    steps, rows = run_size(config.step, config.t_end, params.tau, config.sample_stride)
-    if steps > MAX_STEPS:
-        raise ConfigError(f"numerics.step = {config.step} takes more than {MAX_STEPS} steps to t_end = {config.t_end}")
-    if rows > MAX_ROWS:
-        raise ConfigError(f"numerics.sample_stride = {config.sample_stride} keeps {rows} samples, past {MAX_ROWS}")
+    """Ask the library whether a run or sweep point can run, building no array: its drive (``drive_harmonics``,
+    which refuses a vanishing CD denominator) and its grid (``run_size``, which bounds steps and samples)."""
+    try:
+        drive_harmonics(config.profile, config.params.delta_r, config.params.gamma)
+        run_size(config.step, config.t_end, config.params.tau, config.sample_stride)
+    except SingularDenominator as exc:
+        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"numerics.{exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -168,8 +168,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     auto_step = "step" not in num
     step = _number(num, "step", "numerics", default_step(params, profile))
-    if step <= 0:
-        raise ConfigError(f"numerics.step must be > 0, got {step}")
 
     sweep_parameter = None
     sweep_values: tuple = ()
@@ -219,12 +217,10 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer past the digit limit, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

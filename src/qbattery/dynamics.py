@@ -110,8 +110,8 @@ def _raw_moments(mu, sigma) -> np.ndarray:
     return out
 
 
-def _bona_fide(sigma, tol: float) -> np.ndarray:
-    """Samples of packed Sigma where H = sigma + i Omega/4 + tol/2 I is positive definite.
+def _bona_fide(sigma) -> np.ndarray:
+    """Samples of packed Sigma where H = sigma + i Omega/4 + tol/2 I is positive definite, tol = PHYSICALITY_TOL.
 
     H is half of 2 sigma + i Omega/2 + tol I. With its charger block P, battery
     block T and real cross block Q, H > 0 iff P > 0 and the Schur complement
@@ -120,7 +120,7 @@ def _bona_fide(sigma, tol: float) -> np.ndarray:
     the complement is det P^-1 (det P T_re - Q^T adj(P_re) Q) + i (det P + det Q)/(4 det P) J.
     Elementwise, with no eigensolver.
     """
-    d = 0.25 + 0.5 * tol  # sigma = Sigma + I/4
+    d = 0.25 + 0.5 * PHYSICALITY_TOL  # sigma = Sigma + I/4
     s00, s01, u0, w0, s11, u1, w1, t00, t01, t11 = sigma
     s00, s11, t00, t11 = s00 + d, s11 + d, t00 + d, t11 + d
     det_p = s00 * s11 - s01 * s01 - 0.0625
@@ -134,15 +134,16 @@ def _bona_fide(sigma, tol: float) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
-def _check_physical(m: np.ndarray, sigma, tol: float, times: np.ndarray | None = None) -> None:
-    """Raise :class:`InvariantViolation` at the first row of moments ``m`` that is non-finite or not bona fide.
+def _check_physical(m: np.ndarray, sigma, times: np.ndarray | None = None) -> None:
+    """Raise :class:`InvariantViolation` at the first row of moments ``m`` that is non-finite or not bona fide
+    beyond PHYSICALITY_TOL (:func:`_bona_fide`).
 
     ``sigma`` holds the rows' packed normal-ordered covariances. The message
     names the row's sample index and time when ``times`` is given.
     """
     checks = {
         "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
-        "covariance breaks the uncertainty principle": ~_bona_fide(sigma, tol),
+        "covariance breaks the uncertainty principle": ~_bona_fide(sigma),
     }
 
     def centered(i):
@@ -193,7 +194,7 @@ class MomentState:
     def validate(self) -> None:
         """Raise :class:`InvariantViolation` if the state is non-finite or not bona fide beyond PHYSICALITY_TOL."""
         y = self.as_array()[None, :]
-        _check_physical(y, _gaussian(y)[1], PHYSICALITY_TOL)
+        _check_physical(y, _gaussian(y)[1])
 
 
 class Leg(NamedTuple):
@@ -221,21 +222,12 @@ def sample_grid(step: float, t_end: float, tau: float, sample_stride: int) -> li
     takes ceil(span/step) equal steps of h = span/n_steps. Every
     ``sample_stride``-th step of the whole run is kept, counting on across
     the leg boundary, and so is the final step; with t = 0 these are the
-    sample times. A grid it cannot build, or of more than MAX_ROWS samples (counted
-    by :func:`run_size` before any array exists), raises ValueError naming the argument.
+    sample times. :func:`run_size` judges the arguments first, so a grid it
+    refuses raises its ValueError before any array exists.
     """
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if not 0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    if (rows := run_size(step, t_end, tau, sample_stride)[1]) > MAX_ROWS:
-        raise ValueError(f"sample_stride {sample_stride} keeps {rows} samples, past {MAX_ROWS}")
+    run_size(step, t_end, tau, sample_stride)
     legs, done = [], 0
     for t_start, t_stop, window, n_steps in _leg_steps(step, t_end, tau):
-        if n_steps > MAX_STEPS:
-            raise ValueError(f"step {step} takes more than {MAX_STEPS} steps over [{t_start}, {t_stop}]")
         kept = np.arange(sample_stride - done % sample_stride, n_steps + 1, sample_stride)
         legs.append(Leg(t_start, t_stop, window, n_steps, (t_stop - t_start) / n_steps, kept))
         done += n_steps
@@ -253,12 +245,23 @@ def _leg_steps(step: float, t_end: float, tau: float):
 
 
 def run_size(step: float, t_end: float, tau: float, sample_stride: int) -> tuple[int, int]:
-    """(steps, samples) of :func:`sample_grid`'s grid, counted without building it.
+    """(steps, samples) of :func:`sample_grid`'s grid, counted without building it: the one judge of a grid.
 
     The kept steps are the multiples of ``sample_stride`` and the final step; t = 0 adds one sample.
+    Raises ValueError naming the argument for a step, t_end or stride no grid has, a run of more
+    than MAX_STEPS steps in all, or one that keeps more than MAX_ROWS samples.
     """
-    steps = sum(n for *_, n in _leg_steps(step, t_end, tau))
-    return steps, 1 + -(-steps // sample_stride)
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    if (steps := sum(n for *_, n in _leg_steps(step, t_end, tau))) > MAX_STEPS:
+        raise ValueError(f"step = {step} takes more than {MAX_STEPS} steps to t_end = {t_end}")
+    if (rows := 1 + -(-steps // sample_stride)) > MAX_ROWS:
+        raise ValueError(f"sample_stride = {sample_stride} keeps {rows} samples, past {MAX_ROWS}")
+    return steps, rows
 
 
 def grid_times(legs: list[Leg]) -> np.ndarray:
@@ -407,7 +410,7 @@ def _evolve(leg_map, params, profile, legs, sample_stride, initial) -> Trajector
 
     vs = np.concatenate(blocks).T
     traj = Trajectory(times=grid_times(legs), mu=vs[:4], sigma=vs[6:16], params=params)
-    _check_physical(traj.moments, traj.sigma, PHYSICALITY_TOL, traj.times)
+    _check_physical(traj.moments, traj.sigma, traj.times)
     return traj
 
 

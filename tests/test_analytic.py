@@ -37,7 +37,7 @@ class TestCoefficients:
         prof = DriveProfile.cd_sin_sq(0.3, 0.7)
         for name in B_INTERPRETATIONS:
             c = coefficients(params(gamma=0.4, delta_r=0.2), prof, name)
-            rebuilt = -(2.0 / c.epsilon) * (2.0 * prof.omega_env * c.d + 0.25 * (c.epsilon + c.gamma) * c.p)
+            rebuilt = -(2.0 / c.epsilon) * (2.0 * prof.omega_env * c.d + 0.25 * (c.epsilon + 0.4) * c.p)
             assert c.f == pytest.approx(rebuilt, rel=1e-12)
 
     def test_resonant_envelope_raises(self):

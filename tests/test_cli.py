@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qbattery import cli, energetics, oracle
+from qbattery.cd_control import drive_harmonics
 from qbattery.cli import (
     MAX_ROWS,
     OUTPUT_COLUMNS,
@@ -21,8 +22,8 @@ from qbattery.cli import (
     run_sweep,
     selftest_report,
 )
-from qbattery.dynamics import default_step, propagate
-from qbattery.errors import ConfigError, TruncationLeak
+from qbattery.dynamics import default_step, propagate, run_size
+from qbattery.errors import ConfigError, SingularDenominator, TruncationLeak
 from qbattery.model import DriveKind, DriveProfile, ModelParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -46,7 +47,50 @@ def write_config(tmp_path, doc, name="config.json"):
     return p
 
 
+STATIC = {"profile": "static", "f0": 0.2}
+CD = {"profile": "cd_sin_sq", "f0": 0.2, "omega_env": 0.5}
+VALID_NUMERICS = {"step": 0.01, "t_end": 5.0, "sample_stride": 10}
+
+#: (model, drive, numerics, refused) at the library's grid and drive edges. A leg's step count is the ceiling
+#: of a double, so near 2^63 it moves in units of 1024: 2^63 - 1024 steps are the most below MAX_STEPS.
+AGREEMENT_CASES = {
+    "rows_at_edge": ({"g": 0.2}, STATIC, {"step": 0.01, "t_end": 0.01 * (MAX_ROWS - 1), "sample_stride": 1}, False),
+    "rows_past_edge": ({"g": 0.2}, STATIC, {"step": 0.01, "t_end": 0.01 * MAX_ROWS, "sample_stride": 1}, True),
+    "steps_below_edge": ({"g": 0.2}, STATIC, {"step": 1.0, "t_end": 2.0**63 - 1024, "sample_stride": 10**21}, False),
+    "steps_past_edge": ({"g": 0.2}, STATIC, {"step": 1.0, "t_end": 2.0**63, "sample_stride": 10**21}, True),
+    # two legs of 6.7e18 steps each: each fits in int64, their total does not
+    "two_legs_past_steps": ({"g": 0.2, "tau": 1.0}, STATIC,
+                            {"step": 1.5e-19, "t_end": 2.0, "sample_stride": 10**14}, True),
+    "cd_zero_denominator": ({"gamma": 0.0, "delta_r": 0.0}, CD, VALID_NUMERICS, True),
+    "cd_negative_zero_denominator": ({"gamma": -0.0, "delta_r": -0.0}, CD, VALID_NUMERICS, True),
+    "cd_damped": ({"gamma": 0.05, "delta_r": 0.0}, CD, VALID_NUMERICS, False),
+}
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+    def test_validation_gives_the_library_verdict(self, case):
+        # parse_config refuses a point exactly when drive_harmonics or run_size does, in the library's words
+        model, drive, numerics, refused = AGREEMENT_CASES[case]
+        params = ModelParams.build(**{"tau": numerics["t_end"], **model})
+        profile = DriveProfile(DriveKind(drive["profile"]), **{k: v for k, v in drive.items() if k != "profile"})
+        verdict = None
+        try:
+            drive_harmonics(profile, params.delta_r, params.gamma)
+            run_size(numerics["step"], numerics["t_end"], params.tau, numerics["sample_stride"])
+        except SingularDenominator as exc:
+            verdict = str(exc)
+        except ValueError as exc:
+            verdict = f"numerics.{exc}"
+        assert (verdict is not None) == refused, verdict
+        doc = {"model": model, "drive": drive, "numerics": numerics}
+        if verdict is None:
+            parse_config(doc)
+        else:
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            assert str(info.value) == verdict
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/xx.json"]) == 1
         assert "config error" in capsys.readouterr().err
@@ -55,6 +99,21 @@ class TestConfigParsing:
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
         assert main(["simulate", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"model": {"g": 0.2\xff}}', b"[" * 100_000, b'{"model": {"g": ' + b"1" * 5000 + b"}}"],
+        ids=["not_utf8", "nested_past_recursion", "integer_past_digit_limit"],
+    )
+    def test_config_text_that_does_not_decode_fails_validation(self, tmp_path, capsys, command, text):
+        # reading and decoding these raise UnicodeDecodeError, RecursionError and a plain ValueError, no JSONDecodeError
+        p = tmp_path / "config.json"
+        p.write_bytes(text)
+        assert main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {p} is not valid JSON: ") and err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = base_config(tmp_path / "o.csv")

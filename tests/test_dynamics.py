@@ -367,7 +367,7 @@ class TestIntegrate:
         states = [MomentState(), coherent_pair(0.3j, 0.5), MomentState(a_sq=0.5), MomentState(na=-1.0)]
         y = np.array([s.as_array() for s in states])
         with pytest.raises(InvariantViolation, match=r"sample 2 at t=0\.02: covariance breaks the uncertainty"):
-            _check_physical(y, _gaussian(y)[1], PHYSICALITY_TOL, np.array([0.0, 0.01, 0.02, 0.03]))
+            _check_physical(y, _gaussian(y)[1], np.array([0.0, 0.01, 0.02, 0.03]))
 
     def test_invariant_check_rejects_non_finite_moments(self):
         with pytest.raises(InvariantViolation, match="sample 0 at t=0: non-finite"):
@@ -554,7 +554,7 @@ class TestSampleGrid:
         for engine in (integrate, propagate, dense_evolve, grid_of):
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match=r"sample_stride 1 keeps 100000000001 samples, past 1000000$"):
+                with pytest.raises(ValueError, match=r"sample_stride = 1 keeps 100000000001 samples, past 1000000$"):
                     engine(params(g=0.2, gamma=0.05, tau=20.0), DriveProfile.static(0.2),
                            step=0.01, t_end=1e9, sample_stride=1)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -565,7 +565,7 @@ class TestSampleGrid:
     def test_engines_reject_a_grid_past_int64_steps(self):
         # the step count is capped while counting, so no grid is built with a coarser step than asked
         for engine in (integrate, propagate, grid_of):
-            with pytest.raises(ValueError, match=r"step 1e-300 takes more than 9223372036854775806 steps"):
+            with pytest.raises(ValueError, match=r"step = 1e-300 takes more than 9223372036854775806 steps to t_end"):
                 engine(params(g=0.2, gamma=0.3, tau=1.0), DriveProfile.off(), 1e-300, 1.0, 10**21)
 
 
@@ -696,6 +696,30 @@ class TestExactPropagator:
         assert np.max(np.abs(coarse.moments - fine.moments)) <= 1e-9 * scale
         with pytest.raises(StepTooLarge):
             integrate(p, prof, 0.2, 20.0)
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        g=st.floats(0.0, 0.5),
+        gamma=st.floats(0.05, 1.0),
+        nbar=st.floats(0.0, 1.0),
+        delta_r=st.floats(0.0, 0.5),
+        kind=st.sampled_from(list(DriveKind)),
+        f0=st.floats(0.0, 0.5),
+        omega_env=st.floats(0.1, 2.0),
+        h=st.sampled_from([0.01, 0.02, 0.04, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5]),
+        k=st.sampled_from([2, 4, 5]),
+        cut=st.floats(0.0, 1.1),
+    )
+    def test_any_step_samples_a_finer_run(self, g, gamma, nbar, delta_r, kind, f0, omega_env, h, k, cut):
+        # the exact engine takes any step: step h at stride 1 samples the run of step h/k at stride k
+        tau = max(1, round(cut * 20.0 / h)) * h  # a multiple of h, past t_end for one leg
+        p = params(g=g, gamma=gamma, nbar=nbar, delta_r=delta_r, tau=tau)
+        prof = DriveProfile(kind, f0, omega_env)
+        coarse = propagate(p, prof, h, 20.0)
+        fine = propagate(p, prof, h / k, 20.0, k)
+        assert np.max(np.abs(coarse.times - fine.times)) <= 1e-12
+        scale = max(1.0, float(np.max(np.abs(fine.moments))))
+        assert np.max(np.abs(coarse.moments - fine.moments)) <= 1e-10 * scale
 
     def test_invariant_check_rejects_corrupt_initial(self):
         bad = MomentState(a_mean=1.0 + 0j, na=0.1)  # occupation below |<a>|^2
