@@ -157,14 +157,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     drv = _section(doc, "drive", ("profile", "f0", "omega_env"))
-    kind_name = drv.get("profile", "off")
-    try:
-        kind = DriveKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"drive.profile must be one of {[k.value for k in DriveKind]}, got {kind_name!r}"
-        ) from exc
-    profile = DriveProfile(kind, **{k: _number(drv, k, "drive") for k in drv if k != "profile"})
+    profile = DriveProfile(drv.get("profile", "off"), **{k: _number(drv, k, "drive") for k in drv if k != "profile"})
 
     auto_step = "step" not in num
     step = _number(num, "step", "numerics", default_step(params, profile))

@@ -7,9 +7,10 @@ covariance the engine propagates, :attr:`Trajectory.sigma`, with no centering:
     M = 16 det sigma_B = (1 + 4 Sigma22)(1 + 4 Sigma33) - 16 Sigma23^2,
 
 the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2), <b'b> = Sigma22 + Sigma33 + |<b>|^2.
-Physical Gaussian states have M >= 1. :func:`energy_columns` evaluates this on every sample of
-mu and Sigma at once and reads nothing else; :func:`ergotropy_b` is a one-row call of it, so a
-series and its samples share one formula and one set of checks.
+As (1 + 2 tr Sigma_B)^2 - M = 4 (Sigma22 - Sigma33)^2 + 16 Sigma23^2, it is computed without
+cancellation as omega0 * (|<b>|^2 + (4 (Sigma22 - Sigma33)^2 + 16 Sigma23^2) / (2 (sqrt(M) + 1 + 2 tr Sigma_B))).
+:func:`energy_columns` evaluates this on every sample of mu and Sigma at once and reads nothing else;
+:func:`ergotropy_b` is a one-row call of it, so a series and its samples share one formula and checks.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import MomentState, Trajectory, _gaussian, propagate, raise_first_failure
+from .dynamics import PHYSICALITY_TOL, MomentState, Trajectory, _gaussian, propagate, raise_first_failure
 from .errors import ConfigError, UnphysicalState
 from .model import DriveProfile, ModelParams
 
@@ -30,10 +31,6 @@ __all__ = [
     "report_series",
 ]
 
-#: floating-point noise floor for clamping tiny negative ergotropy, in units of omega0 max(1, <b'b>)
-NEGATIVE_CLAMP = 1e-9
-M_PHYSICALITY_TOL = 1e-6
-
 
 class EnergyReport(NamedTuple):
     """Battery energetics of one moment sample: energies scaled by omega0, and M."""
@@ -45,23 +42,23 @@ class EnergyReport(NamedTuple):
     e_a: float
 
 
-@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail the first check
+@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail a check
 def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the samples of means ``mu`` and packed Sigma ``sigma``.
 
-    ``mu`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies are
-    checked in units of omega0 and scaled by ``omega0`` once, on return. M
-    within the tolerance below 1 counts as 1, so the ergotropy never exceeds e_b;
-    a negative ergotropy within the noise floor is clamped to 0.
+    ``mu`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies are checked in units
+    of omega0 and scaled by ``omega0`` once, on return. The battery block is judged by the
+    engines' rule (:func:`dynamics._bona_fide` on a 2x2 block), so the ergotropy is >= 0 and
+    exceeds e_b by at most omega0 (1 - sqrt(M))/2 <= 2 omega0 PHYSICALITY_TOL (1 + 2 tr Sigma_B).
 
     Raises
     ------
     ConfigError
         If ``omega0`` is not finite and > 0, as :class:`ModelParams` requires.
     UnphysicalState
-        At the first row with a non-finite mean or Sigma entry, M < 1 - 1e-6 (no Gaussian
-        state has that covariance), ergotropy below -1e-9 omega0 max(1, <b'b>), or an e_b or
-        e_a that overflows, named with its sample index and time when ``times`` is given.
+        At the first row with a non-finite mean or Sigma entry, a battery covariance that
+        breaks the uncertainty principle, or a column (e_b, ergotropy, M, e_a) that overflows,
+        named with its sample index and time when ``times`` is given.
     """
     if not 0.0 < omega0 < np.inf:
         raise ConfigError(f"omega0 must be finite and > 0, got {omega0}")
@@ -70,16 +67,16 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
     s22, s23, s33 = sigma[7:]
     nb = (s22 + mu[2] * mu[2]) + (s33 + mu[3] * mu[3])
     m = (1.0 + 4.0 * s22) * (1.0 + 4.0 * s33) - 16.0 * (s23 * s23)
-    erg = nb - (np.sqrt(np.maximum(m, 1.0)) - 1.0) / 2.0  # in quanta, scaled by omega0 only on return
-    e_b, e_a = omega0 * nb, omega0 * np.hypot(mu[0], mu[1]) ** 2
-    checks = {
-        "non-finite moment": ~(np.isfinite(mu).all(axis=0) & np.isfinite(sigma).all(axis=0)),
-        "Gaussian discriminant M below 1": m < 1.0 - M_PHYSICALITY_TOL,
-        "ergotropy below clamp threshold": erg < -NEGATIVE_CLAMP * np.maximum(1.0, nb),
-        "energy overflows": ~(np.isfinite(e_b) & np.isfinite(e_a)),
+    squeeze = 4.0 * ((s22 - s33) * (s22 - s33)) + 16.0 * (s23 * s23)  # (1 + 2 tr Sigma_B)^2 - M
+    erg = (mu[2] * mu[2] + mu[3] * mu[3]) + squeeze / (2.0 * (np.sqrt(m) + 1.0 + 2.0 * (s22 + s33)))
+    t00, t11 = s22 + (0.25 + 0.5 * PHYSICALITY_TOL), s33 + (0.25 + 0.5 * PHYSICALITY_TOL)  # as in _bona_fide
+    e_b, erg, e_a = omega0 * nb, omega0 * erg, omega0 * np.hypot(mu[0], mu[1]) ** 2
+    checks = {  # masks in C order: Trajectory's strided views would make all(axis=0) reduce 4 or 10 at a time
+        "non-finite moment": ~(np.isfinite(mu, order="C").all(axis=0) & np.isfinite(sigma, order="C").all(axis=0)),
+        "battery covariance breaks the uncertainty principle": ~((t00 > 0.0) & (t00 * t11 - s23 * s23 > 0.0625)),
+        "energy overflows": ~np.isfinite([e_b, erg, m, e_a]).all(axis=0),
     }
-    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, ergotropy/omega0={erg[i]}")
-    erg = omega0 * np.where(erg < 0.0, 0.0, erg)
+    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")
     return e_b, erg, e_b - erg, m, e_a
 
 

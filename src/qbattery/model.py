@@ -71,9 +71,9 @@ class DriveKind(str, enum.Enum):
 class DriveProfile:
     """Declarative description of the drive field F(t).
 
-    ``f0`` is the peak amplitude; ``omega_env`` is the envelope angular
-    frequency of F(t) = f0 * sin^2(omega_env * t). OFF and STATIC drives do
-    not oscillate: their ``omega_env`` is stored as 0, whatever was given.
+    ``kind`` is a :class:`DriveKind` or its value; ``f0`` is the peak amplitude and
+    ``omega_env`` the envelope angular frequency of F(t) = f0 * sin^2(omega_env * t). OFF and
+    STATIC drives do not oscillate: their ``omega_env`` is stored as 0, whatever was given.
     """
 
     kind: DriveKind
@@ -81,6 +81,11 @@ class DriveProfile:
     omega_env: float = 0.0
 
     def __post_init__(self):
+        try:  # the engines test the kind by identity, so a plain string must become its member
+            object.__setattr__(self, "kind", DriveKind(self.kind))
+        except ValueError:
+            kinds = [k.value for k in DriveKind]
+            raise ConfigError(f"drive.profile must be one of {kinds}, got {self.kind!r}") from None
         _require_finite(self, ("f0", "omega_env"))
         if self.f0 < 0:
             raise ConfigError(f"drive amplitude f0 must be >= 0, got {self.f0}")

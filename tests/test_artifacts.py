@@ -212,6 +212,6 @@ def test_unphysical_rows_leave_no_file(tmp_path, fmt):
     sigma[7, 50] = -0.5  # Sigma22 below -1/4: M < 1 at sample 50
     bad = Trajectory(times=traj.times, mu=traj.mu, sigma=sigma, params=params)
     path = tmp_path / f"run.{fmt}"
-    with pytest.raises(UnphysicalState, match="M below 1"):
+    with pytest.raises(UnphysicalState, match="battery covariance breaks the uncertainty principle"):
         write_trajectory(path, bad, fmt, ECHO)
     assert not path.exists()

@@ -8,6 +8,7 @@ the size edge are only parsed.
 """
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -69,7 +70,8 @@ def commands(draw):
         doc["sweep"] = {"parameter": draw(st.sampled_from(SWEEP_PARAMETERS)),
                         "values": draw(st.lists(st.sampled_from([0.2, 0.5, 1.0, 2.0]), min_size=1, max_size=3))}
     for _ in range(draw(st.integers(0, 2))):
-        place, value = draw(st.sampled_from(PLACES)), draw(st.sampled_from(WRONG))
+        # a copy, so that inserting into a drawn sweep.values list never changes WRONG's own lists
+        place, value = draw(st.sampled_from(PLACES)), copy.deepcopy(draw(st.sampled_from(WRONG)))
         if not place:
             return command, value
         if len(place) == 1:

@@ -28,6 +28,7 @@ from qbattery.dynamics import (
     run_size,
     sample_grid,
 )
+from qbattery.energetics import ergotropy_b
 from qbattery.errors import InvariantViolation, StepTooLarge
 from qbattery.model import DriveKind, DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve
@@ -472,6 +473,11 @@ class TestMomentStateValidate:
         state = MomentState.from_array(y)
         if lowest >= -PHYSICALITY_TOL:
             state.validate()
+            # energetics judges the battery block by the same rule, so it takes every state validate takes
+            rep = ergotropy_b(state, 1.0)
+            sigma_b = _gaussian(y[None, :])[1][[7, 9]].sum()
+            assert np.isfinite(rep).all()
+            assert 0.0 <= rep.ergotropy_b <= rep.e_b + 2.0 * PHYSICALITY_TOL * (1.0 + 2.0 * sigma_b)
         else:
             with pytest.raises(InvariantViolation, match="uncertainty principle"):
                 state.validate()

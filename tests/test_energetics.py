@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestErgotropy:
         with pytest.raises(UnphysicalState, match="energy overflows"):
             ergotropy_b(MomentState(nb=2.0), 1e308)
 
+    def test_occupation_whose_m_overflows_rejected(self):
+        # e_b = 1e200 is finite, but M = 16 Sigma22 Sigma33 overflows: no column may be inf
+        with pytest.raises(UnphysicalState, match="energy overflows: M=inf"):
+            ergotropy_b(MomentState(nb=1e200), 1.0)
+
     @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_omega0_that_model_params_refuses_is_refused(self, omega0):
         # -1.0 used to return e_b = passive = -1.0, and 0.0 all zeros
@@ -79,8 +85,9 @@ class TestErgotropy:
             ergotropy_b(MomentState(nb=1.0), omega0)
 
     def test_negative_occupation_fails_the_floor(self):
-        # Sigma22 = Sigma33 = -1 is no covariance: M = 9 passes the discriminant, the ergotropy is -3
-        with pytest.raises(UnphysicalState, match="ergotropy below clamp threshold: M=9.0, ergotropy/omega0=-3.0"):
+        # Sigma22 = Sigma33 = -1 is no covariance, although its M = 9 is above 1
+        reason = "battery covariance breaks the uncertainty principle: M=9.0, centered nb=-2.0"
+        with pytest.raises(UnphysicalState, match=reason):
             ergotropy_b(MomentState(nb=-2.0), 1.0)
 
     def test_unphysical_moments_rejected(self):
@@ -90,7 +97,7 @@ class TestErgotropy:
             ergotropy_b(bad, 1.0)
 
     def test_tiny_negative_ergotropy_clamped(self):
-        # n = 0.01 rounds sqrt((1+2n)^2) up by one ulp, landing at -8.7e-18
+        # n = 0.01 rounded <b'b> - (sqrt(M) - 1)/2 to -8.7e-18; an isotropic Sigma_B adds exactly 0 to |<b>|^2
         rep = ergotropy_b(thermal(0.01), omega0=1.0)
         assert rep.ergotropy_b == 0.0
         assert rep.passive_b == rep.e_b
@@ -113,7 +120,7 @@ class TestErgotropy:
     @pytest.mark.parametrize(
         "row,entry,value,message",
         [
-            (5, 7, -0.5, "sample 5 at t=0.5: Gaussian discriminant M below 1"),  # Sigma22 < -1/4
+            (5, 7, -0.5, "sample 5 at t=0.5: battery covariance breaks the uncertainty principle"),  # Sigma22 < -1/4
             (3, 9, math.nan, "sample 3 at t=0.3: non-finite moment"),
         ],
         ids=["sigma22_below_vacuum", "sigma33_nan"],
@@ -165,6 +172,28 @@ class TestEngineCovariance:
         small, large = (self.artifact_columns(0.3, DriveProfile.static(f0))[2] for f0 in (0.2, 1e5))
         assert np.max(small) > 1.4
         assert np.all(np.abs(large - small) <= 1e-9 * np.maximum(1.0, small))
+
+
+def exact_ergotropy(mu, sigma):
+    """|<b>|^2 + (1 + 2 tr Sigma_B - sqrt(M))/2 of each row, in 80-digit decimals, rounded once to a double."""
+    out = []
+    with decimal.localcontext(decimal.Context(prec=80)):
+        for row in zip(mu[2], mu[3], *sigma[7:]):
+            m2, m3, s22, s23, s33 = (decimal.Decimal(float(x)) for x in row)
+            m = (1 + 4 * s22) * (1 + 4 * s33) - 16 * s23 * s23
+            out.append(float(m2 * m2 + m3 * m3 + (1 + 2 * (s22 + s33) - m.sqrt()) / 2))
+    return np.array(out)
+
+
+class TestHotBath:
+    @pytest.mark.parametrize("nbar", [1e4, 1e8, 1e12, 1e20])
+    def test_ergotropy_does_not_cancel(self, nbar):
+        # <b'b> - (sqrt(M) - 1)/2 lost 5.7e-13 of |<b>|^2 at nbar = 1e4 and read 8,192 where it is 25.9 at 1e20
+        params = ModelParams.build(omega0=1.0, g=0.2, gamma=0.05, nbar=nbar, kappa=1.0, tau=20.0)
+        traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 20.0, sample_stride=10)
+        erg = energy_columns(traj.mu, traj.sigma, 1.0, traj.times)[1]
+        exact = exact_ergotropy(traj.mu, traj.sigma)
+        assert np.all(np.abs(erg - exact) <= 1e-15 * np.maximum(1.0, exact))
 
 
 class TestDecompose:

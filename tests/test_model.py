@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from moment_reference import moment_rhs
 from qbattery.errors import ConfigError
-from qbattery.dynamics import MomentState
+from qbattery.dynamics import MomentState, propagate
 from qbattery.model import DriveKind, DriveProfile, ModelParams, bose_occupation, envelope
 
 
@@ -119,6 +120,23 @@ class TestParamsValidation:
     def test_profile_rejects_non_finite(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             DriveProfile(DriveKind.CD_SIN_SQ, **{"f0": 0.2, "omega_env": 0.5, field: value})
+
+    @pytest.mark.parametrize("kind", list(DriveKind))
+    def test_profile_kind_may_be_its_value(self, kind):
+        # a plain string used to compare equal to the member yet fail the engines' identity tests:
+        # "cd_sin_sq" ran as a bare field in drive_field but took the CD branch of drive_harmonics
+        params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=0.3, delta_r=0.5, tau=5.0)
+        by_value, by_member = DriveProfile(kind.value, 0.2, 0.5), DriveProfile(kind, 0.2, 0.5)
+        assert by_value.kind is kind
+        a, b = (propagate(params, p, 0.05, 5.0, sample_stride=10) for p in (by_value, by_member))
+        assert np.array_equal(a.mu.view(np.uint64), b.mu.view(np.uint64))
+        assert np.array_equal(a.sigma.view(np.uint64), b.sigma.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["bogus", "SIN_SQ", None, True, [], math.nan])
+    def test_profile_rejects_unknown_kind(self, kind):
+        kinds = r"\['off', 'static', 'sin_sq', 'cd_sin_sq'\]"
+        with pytest.raises(ConfigError, match=rf"^drive\.profile must be one of {kinds}, got {re.escape(repr(kind))}$"):
+            DriveProfile(kind, 0.2, 0.5)
 
     def test_build_resolves_kappa(self):
         p = ModelParams.build(omega0=2.0, g=0.1, gamma=0.1, tau=1.0, kappa=0.5)
