@@ -49,6 +49,7 @@ MAX_ROWS = 1_000_000
 
 #: absolute tolerance on the smallest eigenvalue of 2 sigma + i Omega/2 (vacuum sigma = I/4)
 PHYSICALITY_TOL = 1e-9
+_SHIFT = 0.25 + 0.5 * PHYSICALITY_TOL  # Sigma + _SHIFT I = sigma + tol/2 I, the real part of _bona_fide's H
 
 #: packed symmetric 4x4 matrix: entry k is (_ROW[k], _COL[k]) of the upper triangle. Packed
 #: matrices and means are passed component first, one array of samples per entry.
@@ -110,6 +111,11 @@ def _raw_moments(mu, sigma) -> np.ndarray:
     return out
 
 
+def _positive_2x2(s00, s01, s11, y=0.25) -> np.ndarray:
+    """Samples where S + i y J, S = [[s00, s01], [s01, s11]], is positive definite; y = 1/4 for one mode's block."""
+    return (s00 > 0.0) & (s00 * s11 - s01 * s01 > y * y)
+
+
 def _bona_fide(sigma) -> np.ndarray:
     """Samples of packed Sigma where H = sigma + i Omega/4 + tol/2 I is positive definite, tol = PHYSICALITY_TOL.
 
@@ -120,9 +126,8 @@ def _bona_fide(sigma) -> np.ndarray:
     the complement is det P^-1 (det P T_re - Q^T adj(P_re) Q) + i (det P + det Q)/(4 det P) J.
     Elementwise, with no eigensolver.
     """
-    d = 0.25 + 0.5 * PHYSICALITY_TOL  # sigma = Sigma + I/4
     s00, s01, u0, w0, s11, u1, w1, t00, t01, t11 = sigma
-    s00, s11, t00, t11 = s00 + d, s11 + d, t00 + d, t11 + d
+    s00, s11, t00, t11 = s00 + _SHIFT, s11 + _SHIFT, t00 + _SHIFT, t11 + _SHIFT
     det_p = s00 * s11 - s01 * s01 - 0.0625
     ku0, ku1 = s11 * u0 - s01 * u1, s00 * u1 - s01 * u0  # adj(P_re) times the columns u, w of Q
     kw0, kw1 = s11 * w0 - s01 * w1, s00 * w1 - s01 * w0
@@ -130,7 +135,7 @@ def _bona_fide(sigma) -> np.ndarray:
     x11 = det_p * t11 - (w0 * kw0 + w1 * kw1)
     x01 = det_p * t01 - (w0 * ku0 + w1 * ku1)
     y = 0.25 * (det_p + u0 * w1 - u1 * w0)
-    return (s00 > 0.0) & (det_p > 0.0) & (x00 > 0.0) & (x00 * x11 - x01 * x01 > y * y)
+    return _positive_2x2(s00, s01, s11) & _positive_2x2(x00, x01, x11, y)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
@@ -145,11 +150,8 @@ def _check_physical(m: np.ndarray, sigma, times: np.ndarray | None = None) -> No
         "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
         "covariance breaks the uncertainty principle": ~_bona_fide(sigma),
     }
-
-    def centered(i):
-        return f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}"
-
-    raise_first_failure(checks, times, InvariantViolation, centered)
+    raise_first_failure(checks, times, InvariantViolation,
+                        lambda i: f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}")
 
 
 def raise_first_failure(checks: dict, times, error: type, detail) -> None:

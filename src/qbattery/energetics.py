@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PHYSICALITY_TOL, MomentState, Trajectory, _gaussian, propagate, raise_first_failure
+from .dynamics import _SHIFT, MomentState, Trajectory, _gaussian, _positive_2x2, propagate, raise_first_failure
 from .errors import ConfigError, UnphysicalState
 from .model import DriveProfile, ModelParams
 
@@ -42,14 +42,14 @@ class EnergyReport(NamedTuple):
     e_a: float
 
 
-@np.errstate(invalid="ignore", over="ignore")  # rows with inf or nan fail a check
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")  # rows that give inf or nan fail a check
 def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the samples of means ``mu`` and packed Sigma ``sigma``.
 
     ``mu`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies are checked in units
     of omega0 and scaled by ``omega0`` once, on return. The battery block is judged by the
     engines' rule (:func:`dynamics._bona_fide` on a 2x2 block), so the ergotropy is >= 0 and
-    exceeds e_b by at most omega0 (1 - sqrt(M))/2 <= 2 omega0 PHYSICALITY_TOL (1 + 2 tr Sigma_B).
+    exceeds e_b by at most omega0 (1 - sqrt(max(M, 0)))/2 <= 2 omega0 PHYSICALITY_TOL (1 + 2 tr Sigma_B).
 
     Raises
     ------
@@ -68,12 +68,12 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
     nb = (s22 + mu[2] * mu[2]) + (s33 + mu[3] * mu[3])
     m = (1.0 + 4.0 * s22) * (1.0 + 4.0 * s33) - 16.0 * (s23 * s23)
     squeeze = 4.0 * ((s22 - s33) * (s22 - s33)) + 16.0 * (s23 * s23)  # (1 + 2 tr Sigma_B)^2 - M
-    erg = (mu[2] * mu[2] + mu[3] * mu[3]) + squeeze / (2.0 * (np.sqrt(m) + 1.0 + 2.0 * (s22 + s33)))
-    t00, t11 = s22 + (0.25 + 0.5 * PHYSICALITY_TOL), s33 + (0.25 + 0.5 * PHYSICALITY_TOL)  # as in _bona_fide
+    # the rule passes M > 1 - 8 tol (1/2 + tr Sigma_B), below 0 past tr Sigma_B ~ 1/(8 tol): sqrt of max(M, 0)
+    erg = (mu[2] * mu[2] + mu[3] * mu[3]) + squeeze / (2.0 * (np.sqrt(np.maximum(m, 0.0)) + 1.0 + 2.0 * (s22 + s33)))
     e_b, erg, e_a = omega0 * nb, omega0 * erg, omega0 * np.hypot(mu[0], mu[1]) ** 2
     checks = {  # masks in C order: Trajectory's strided views would make all(axis=0) reduce 4 or 10 at a time
         "non-finite moment": ~(np.isfinite(mu, order="C").all(axis=0) & np.isfinite(sigma, order="C").all(axis=0)),
-        "battery covariance breaks the uncertainty principle": ~((t00 > 0.0) & (t00 * t11 - s23 * s23 > 0.0625)),
+        "battery covariance breaks the uncertainty principle": ~_positive_2x2(s22 + _SHIFT, s23, s33 + _SHIFT),
         "energy overflows": ~np.isfinite([e_b, erg, m, e_a]).all(axis=0),
     }
     raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")

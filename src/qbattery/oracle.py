@@ -1,6 +1,7 @@
 """Brute-force validator: full density-matrix propagation in truncated Fock space.
 
-Everything here is a cross-check path, never a performance path. The joint
+Everything here is a cross-check path, yet a measured one: it is all of the
+oracle_crosscheck benchmark and about half of tier-1 test time (criterion 01). The joint
 density matrix of charger and battery, over the row-major joint index
 r = m n_b + n (D = n_a n_b), is held as the real (D, D) matrix
 Q = Re rho + Im rho, exact for Hermitian rho, and propagated with the same

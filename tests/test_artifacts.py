@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _csv_chunks, _json_rows, trajectory_rows, write_trajectory
+from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _row_chunks, trajectory_rows, write_trajectory
 from qbattery.dynamics import Trajectory, integrate, propagate
 from qbattery.errors import UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
@@ -51,12 +51,12 @@ def old_json_writer(rows, echo):
 
 def _csv_body(rows):
     """The data lines the writer streams, joined."""
-    return b"".join(_csv_chunks(rows))
+    return b"".join(_row_chunks(rows, "csv"))
 
 
 def _json_body(rows):
-    """The JSON rows array the writer streams, joined."""
-    return b"".join(_json_rows(rows)).decode()
+    """The JSON rows array the writer streams, joined: its opening brackets come with the file's head."""
+    return ("[[" + b"".join(_row_chunks(rows, "json")).decode()) if len(rows) else "[]"
 
 
 def assert_file_holds_rows(path, traj, fmt):
@@ -127,6 +127,17 @@ def test_row_format_matches_per_value_format():
     assert _json_body(np.array(rows)) == reference_json_rows(rows)
     for row in rows:
         assert [float(format(v, ".16e")) for v in row] == row
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_row_ends_match_per_value_text(n_rows):
+    # Python formats the last column (|x| below 1e-280 or above 1e280) over the first 29 bytes of a
+    # 32-byte slot; the row end, up to 3 bytes, fills the slot's top, where a longer write would erase it
+    rows = np.random.default_rng(n_rows).normal(size=(n_rows, len(OUTPUT_COLUMNS)))
+    rows[:, -1] = np.resize([-5e-310, -1e-300, 1.2345678901234567e300], n_rows)
+    cells = [",".join(format(v, ".16e") for v in r) for r in rows.tolist()]
+    assert b"".join(_row_chunks(rows, "csv")).decode() == "".join(c + "\n" for c in cells)
+    assert b"".join(_row_chunks(rows, "json")).decode() == ("],[".join(cells) + "]]" if n_rows else "")
 
 
 _FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.cli import OUTPUT_COLUMNS, trajectory_rows
-from qbattery.dynamics import MomentState, _gaussian, integrate, propagate
+from qbattery.dynamics import PHYSICALITY_TOL, MomentState, _bona_fide, _gaussian, integrate, propagate
 from qbattery.energetics import (
     decompose,
     energy_columns,
@@ -77,6 +77,15 @@ class TestErgotropy:
         # e_b = 1e200 is finite, but M = 16 Sigma22 Sigma33 overflows: no column may be inf
         with pytest.raises(UnphysicalState, match="energy overflows: M=inf"):
             ergotropy_b(MomentState(nb=1e200), 1.0)
+
+    def test_block_the_rule_passes_with_negative_m_is_finite(self):
+        # Sigma22 = -1/4 - 1e-10 is inside the engines' tolerance, but with Sigma33 = 2e8 M is -0.32
+        mu, sigma = np.zeros((4, 1)), np.zeros((10, 1))
+        sigma[7], sigma[9] = -0.25 - 1e-10, 2e8
+        assert _bona_fide(sigma).all()
+        e_b, erg, _, m, _ = (c[0] for c in energy_columns(mu, sigma, 1.0))
+        assert m < 0.0
+        assert 0.0 <= erg <= e_b + 2.0 * PHYSICALITY_TOL * (1.0 + 2.0 * (sigma[7, 0] + sigma[9, 0]))
 
     @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_omega0_that_model_params_refuses_is_refused(self, omega0):
