@@ -20,7 +20,8 @@ import numpy as np
 
 from . import energetics
 from .cd_control import cd_hamiltonian_closed, drive_harmonics, propagate_unitary
-from .dynamics import MAX_ROWS, MomentState, Trajectory, default_step, integrate, propagate, run_size
+from .dynamics import (MAX_ROWS, MomentState, Run, Trajectory, default_step, integrate, propagate, propagate_batch,
+                       run_size)
 from .errors import ConfigError, QBatteryError, SingularDenominator
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -304,9 +305,12 @@ def _row_chunks(rows: np.ndarray, fmt: str):
         yield _format_values(x.ravel(), seps[:len(x)].ravel())
 
 
-def trajectory_rows(traj: Trajectory) -> np.ndarray:
-    """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
-    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)  # _over_omega0
+def trajectory_rows(traj: Trajectory, columns: tuple | None = None) -> np.ndarray:
+    """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order.
+
+    ``columns`` are the samples' ``energetics.energy_columns`` at omega0 = 1 when a batch has read them already.
+    """
+    e_b, erg, _, m_value, e_a = columns or energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
@@ -315,9 +319,9 @@ def trajectory_rows(traj: Trajectory) -> np.ndarray:
     return rows
 
 
-def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict) -> int:
+def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict, columns: tuple | None = None) -> int:
     """Stream one artifact, CSV or JSON: head, _row_chunks, tail; return the row count. Rows are checked first."""
-    rows = trajectory_rows(traj)
+    rows = trajectory_rows(traj, columns)
     if fmt == "csv":
         head, tail = ",".join(OUTPUT_COLUMNS) + "\n", ""
     else:
@@ -350,12 +354,14 @@ def _manifest_path(out_path: Path) -> Path:
 def run_simulate(config: RunConfig) -> Path:
     if config.out_path is None:
         raise ConfigError("simulate requires output.path")
-    traj = propagate(
-        config.params, config.profile, config.step, config.t_end, config.sample_stride
-    )
+    return _write_run(config, propagate(config.params, config.profile, config.step, config.t_end, config.sample_stride))
+
+
+def _write_run(config: RunConfig, traj: Trajectory, columns: tuple | None = None) -> Path:
+    """Write the data artifact and the manifest of one simulate run of ``config``; return the artifact's path."""
     out_path = Path(config.out_path)
     echo = config.to_dict()
-    n_rows = write_trajectory(out_path, traj, config.out_format, echo)
+    n_rows = write_trajectory(out_path, traj, config.out_format, echo, columns)
     manifest = {
         "schema": "qbattery-manifest-v1",
         "command": "simulate",
@@ -377,25 +383,53 @@ def _apply_sweep_value(config: RunConfig, value: float) -> RunConfig:
     )
 
 
+def _batches(points: list):
+    """The (value, config) ``points`` in order, cut into runs of consecutive points on one grid, each keeping at
+    most MAX_ROWS samples in all, so a batch peaks at the memory of one run at the budget."""
+    batch, grid, rows = [], None, 0
+    for value, point in points:
+        point_grid = (point.step, point.t_end, point.params.tau, point.sample_stride)
+        n = run_size(*point_grid)[1]
+        if batch and (point_grid != grid or rows + n > MAX_ROWS):
+            yield batch
+            batch, rows = [], 0
+        batch.append((value, point))
+        grid, rows = point_grid, rows + n
+    if batch:
+        yield batch
+
+
 def run_sweep(config: RunConfig) -> tuple[Path, list]:
-    """Run one simulate per sweep value; returns (manifest path, the manifest entries of the points that failed)."""
+    """Run one simulate per sweep value; returns (manifest path, the manifest entries of the points that failed).
+
+    Consecutive points that share a grid run as one :func:`dynamics.propagate_batch`; each point's files
+    are written, in point order, as :func:`run_simulate` writes them.
+    """
     if config.sweep_parameter is None:
         raise ConfigError("sweep requires a 'sweep' section in the config")
     if config.out_path is None:
         raise ConfigError("sweep requires output.path")
     base = Path(config.out_path)
+    points = [(value, dataclasses.replace(_apply_sweep_value(config, value),
+                                          out_path=str(base.with_name(f"{base.stem}_{i:02d}{base.suffix}"))))
+              for i, value in enumerate(config.sweep_values)]
     runs = []
-    for i, value in enumerate(config.sweep_values):
-        point_path = base.with_name(f"{base.stem}_{i:02d}{base.suffix}")
-        point_config = dataclasses.replace(_apply_sweep_value(config, value), out_path=str(point_path))
-        entry = {"value": value, "path": point_path.name, "status": "ok"}
-        try:
-            run_simulate(point_config)
-        except QBatteryError as exc:
-            entry["status"] = "error"
-            entry["error"] = str(exc)
-            entry["error_type"] = type(exc).__name__
-        runs.append(entry)
+    for batch in _batches(points):
+        head = batch[0][1]
+        trajs = propagate_batch([Run(point.params, point.profile) for _, point in batch],
+                                head.step, head.t_end, head.sample_stride)
+        shared = energetics.batch_columns(trajs, 1.0) or [None] * len(trajs)
+        for (value, point), traj, columns in zip(batch, trajs, shared):
+            entry = {"value": value, "path": Path(point.out_path).name, "status": "ok"}
+            try:
+                if isinstance(traj, Exception):
+                    raise traj
+                _write_run(point, traj, columns)
+            except QBatteryError as exc:
+                entry["status"] = "error"
+                entry["error"] = str(exc)
+                entry["error_type"] = type(exc).__name__
+            runs.append(entry)
     manifest = {
         "schema": "qbattery-sweep-v1",
         "command": "sweep",
@@ -411,7 +445,7 @@ def run_sweep(config: RunConfig) -> tuple[Path, list]:
 
 
 def compare_drives(config: RunConfig) -> dict:
-    """Max ergotropy of the CD drive against its bare-envelope and static partners."""
+    """Max ergotropy of the CD drive against its bare-envelope and static partners, run as one batch."""
     if config.profile.kind is not DriveKind.CD_SIN_SQ:
         raise ConfigError("compare requires a cd_sin_sq drive profile")
     partners = {
@@ -419,10 +453,14 @@ def compare_drives(config: RunConfig) -> dict:
         "bare": DriveProfile.sin_sq(config.profile.f0, config.profile.omega_env),
         "static": DriveProfile.static(config.profile.f0),
     }
+    trajs = propagate_batch([Run(config.params, profile) for profile in partners.values()],
+                            config.step, config.t_end, config.sample_stride)
     maxima, argmax = {}, {}
-    for name, profile in partners.items():
-        traj = propagate(config.params, profile, config.step, config.t_end, config.sample_stride)
-        series = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)[1]  # over omega0
+    shared = energetics.batch_columns(trajs, 1.0) or [None] * len(trajs)
+    for name, traj, columns in zip(partners, trajs, shared):
+        if isinstance(traj, Exception):
+            raise traj
+        series = (columns or energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times))[1]  # over omega0
         k = int(np.argmax(series))
         maxima[name] = float(series[k])
         argmax[name] = float(config.params.g * traj.times[k])

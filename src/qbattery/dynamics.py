@@ -20,6 +20,15 @@ Two engines run the same leg loop (:func:`_evolve`) and differ only in that map:
 * :func:`integrate` is classical RK4 on (mu, Sigma), the clock advanced
   exactly by e^{W c h} to the stage times, kept as the cross-check of the step rule.
 
+The loop steps a batch of k runs that share one grid (:func:`propagate_batch`,
+:func:`integrate_batch`; a lone run is the batch of one): the leg maps of all
+members form one (k, 17, 17) stack, :func:`expm` gives each member its own
+squaring count, and numpy's ``@``, ``solve`` and ``matrix_power`` work one
+member at a time, so every member is bit for bit its lone run. ``compare``
+runs its three drives as one batch, and ``sweep`` the consecutive points
+that share a grid, at most MAX_ROWS samples a batch. A member that fails its
+check is its own error and leaves the others' bits untouched.
+
 Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
 in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
 Variables, 2017, ch. 3).
@@ -27,6 +36,7 @@ Variables, 2017, ch. 3).
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,13 +46,16 @@ from .cd_control import drive_harmonics
 from .errors import InvariantViolation, StepTooLarge
 from .model import DriveProfile, ModelParams
 
-__all__ = ["MomentState", "Trajectory", "default_step", "integrate", "max_step", "propagate", "run_size"]
+__all__ = [
+    "MomentState", "Run", "Trajectory", "default_step", "integrate", "integrate_batch", "max_step", "propagate",
+    "propagate_batch", "run_size",
+]
 
 #: most steps a run may take: sample_grid's step indices, up to n_steps + 1, are int64
 MAX_STEPS = 2**63 - 2
 
-#: samples one run may keep, in an engine (sample_grid) and in a CLI artifact. Artifacts are written at
-#: 1.7e5-2.3e5 rows/s, 510 bytes a row, and a stride-1 run peaks at about 0.65 kB of memory a row; at this
+#: samples one run may keep, in an engine (sample_grid) and in a CLI artifact, and one CLI batch in all. Artifacts
+#: are written at 1.7e5-2.3e5 rows/s, 510 bytes a row, and a stride-1 run peaks at about 0.65 kB of memory a row; at this
 #: budget a file takes about 5 s, 0.5 GB on disk and 0.7 GB of memory, where an unbounded grid would fail
 #: mid-run on allocation
 MAX_ROWS = 1_000_000
@@ -138,19 +151,23 @@ def _bona_fide(sigma) -> np.ndarray:
     return _positive_2x2(s00, s01, s11) & _positive_2x2(x00, x01, x11, y)
 
 
+def _physical_checks(m: np.ndarray, sigma) -> dict:
+    """Masks of the rows of moments ``m`` that are non-finite or not bona fide (:func:`_bona_fide`)."""
+    return {
+        "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
+        "covariance breaks the uncertainty principle": ~_bona_fide(sigma),
+    }
+
+
 @np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
 def _check_physical(m: np.ndarray, sigma, times: np.ndarray | None = None) -> None:
     """Raise :class:`InvariantViolation` at the first row of moments ``m`` that is non-finite or not bona fide
-    beyond PHYSICALITY_TOL (:func:`_bona_fide`).
+    beyond PHYSICALITY_TOL (:func:`_physical_checks`).
 
     ``sigma`` holds the rows' packed normal-ordered covariances. The message
     names the row's sample index and time when ``times`` is given.
     """
-    checks = {
-        "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
-        "covariance breaks the uncertainty principle": ~_bona_fide(sigma),
-    }
-    raise_first_failure(checks, times, InvariantViolation,
+    raise_first_failure(_physical_checks(m, sigma), times, InvariantViolation,
                         lambda i: f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}")
 
 
@@ -288,7 +305,8 @@ class Trajectory:
 
     ``mu`` (4, n) and ``sigma`` (10, n) are the means and the packed Sigma of
     the retained samples, component first, as the engine computed them; row 0
-    is the initial state. ``moments`` is derived from them on first read.
+    is the initial state. ``moments`` is derived from them on first read; the engines fill it
+    from the one pass their check makes over a batch.
     """
 
     times: np.ndarray
@@ -313,50 +331,64 @@ _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the [6/6] Pade approximant.
+    """Matrix exponential of a matrix or a stack (..., n, n) by scaling and squaring with the [6/6] Pade approximant.
 
-    ``a`` is scaled by 2^-s to infinity norm at most 1/2, where the
+    Each matrix is scaled by its own 2^-s to infinity norm at most 1/2, where the
     approximant's relative backward error is below 3.4e-16 (Golub & Van Loan,
-    Matrix Computations, alg. 11.3.1), and the result is squared s times. No
-    eigendecomposition is taken, so defective matrices need no special case.
+    Matrix Computations, alg. 11.3.1), and the result is squared s times. numpy's
+    ``@`` and ``solve`` work one matrix of a stack at a time, so each member gets
+    the bits it gets alone. No eigendecomposition is taken, so defective
+    matrices need no special case.
     """
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    s = max(0, math.frexp(norm)[1] + 1) if norm > 0.5 else 0
-    x = a / 2.0**s
-    eye = np.eye(len(a), dtype=x.dtype)
+    norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    s = np.reshape([max(0, math.frexp(x)[1] + 1) if x > 0.5 else 0 for x in np.ravel(norms).tolist()], norms.shape)
+    x = a / np.reshape([2.0**k for k in s.ravel().tolist()], norms.shape + (1, 1))
+    eye = np.eye(a.shape[-1], dtype=x.dtype)
     c = _PADE6
     x2 = x @ x
     x4 = x2 @ x2
     odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
     even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x4 @ x2)
     e = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        e = e @ e
+    for k in range(s.max()):
+        more = s > k  # the members still squaring
+        e[more] = e[more] @ e[more]
     return e
 
 
-def _orbit(m: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    """Rows v, m v, .., m^(count-1) v, built by doubling in O(log count) products."""
-    out, power = v[None], m
-    while len(out) < count:
-        out = np.concatenate([out, out @ power.T])  # power = m^len(out)
-        if len(out) < count:
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v for each member: maps (..., 17, 17) on states (..., 17), one matrix-vector product each."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _orbit(m: np.ndarray, out: np.ndarray) -> None:
+    """Fill row i of ``out`` (..., count, 17) with m^i times row 0, doubling in O(log count) products."""
+    count, done, power = out.shape[-2], 1, m  # power = m^done
+    while done < count:
+        take = min(done, count - done)
+        if take == 1 < done:  # one row takes gemv, which rounds unlike the gemm rows of a longer block
+            out[..., done, :] = (out[..., :2, :] @ power.swapaxes(-1, -2))[..., 0, :]
+        else:
+            np.matmul(out[..., :take, :], power.swapaxes(-1, -2), out=out[..., done:done + take, :])
+        done += take
+        if done < count:
             power = power @ power
-    return out[:count]
 
 
-def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(states e^j v at the kept steps j, state at the leg end) for one leg's step map ``e``."""
+def _leg_states(e: np.ndarray, v: np.ndarray, leg: Leg, stride: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (..., kept, 17) with each member's states e^j v at the kept steps j; return the leg-end states."""
     j = leg.kept
     if j.size == 0:
-        return np.empty((0, len(v)), dtype=v.dtype), np.linalg.matrix_power(e, leg.n_steps) @ v
+        return _apply(np.linalg.matrix_power(e, leg.n_steps), v)
     # kept steps run j[0], j[0] + stride, ...; only the pinned final step, j = n_steps, may break the pattern
     regular = int(np.count_nonzero((j - j[0]) % stride == 0))
     power = np.linalg.matrix_power(e, stride)
-    first = (power if j[0] == stride else np.linalg.matrix_power(e, int(j[0]))) @ v
-    states = _orbit(power, first, regular)
-    end = np.linalg.matrix_power(e, leg.n_steps - int(j[regular - 1])) @ states[-1]
-    return (states if regular == j.size else np.vstack([states, end])), end
+    out[..., 0, :] = _apply(power if j[0] == stride else np.linalg.matrix_power(e, int(j[0])), v)
+    _orbit(power, out[..., :regular, :])
+    end = _apply(np.linalg.matrix_power(e, leg.n_steps - int(j[regular - 1])), out[..., regular - 1, :])
+    if regular < j.size:
+        out[..., regular, :] = end
+    return end
 
 
 def _exact_generator(g: float, params: ModelParams, profile: DriveProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +419,7 @@ def _rk4_map(gen: np.ndarray, clock: np.ndarray, h: float) -> np.ndarray:
     """
     half = expm((0.5 * h) * clock)
     full = half @ half
-    eye = np.eye(len(gen))
+    eye = np.eye(gen.shape[-1])
     g_half = gen @ half
     k2 = g_half @ (eye + (0.5 * h) * gen)
     k3 = g_half @ (eye + (0.5 * h) * k2)
@@ -395,25 +427,119 @@ def _rk4_map(gen: np.ndarray, clock: np.ndarray, h: float) -> np.ndarray:
     return full + (h / 6.0) * (gen + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _exact_map(gen: np.ndarray, clock: np.ndarray, h: float) -> np.ndarray:
+    """The exact step map e^{(G + W) h} of :func:`propagate`."""
+    return expm((gen + clock) * h)
+
+
+def _start(initial: MomentState) -> np.ndarray:
+    """The state v = [mu, cos 2wt, sin 2wt, Sigma, 1] of ``initial`` at t = 0, where cos = 1 and sin = 0."""
+    mu, sigma = _gaussian(initial.as_array())
+    return np.concatenate([mu, [1.0, 0.0], sigma, [1.0]])
+
+
+_VACUUM = _start(MomentState())  # the start of every run that injects no state
+
+
+class Run(NamedTuple):
+    """One member of a batch (:func:`propagate_batch`): what a lone run takes besides its grid."""
+
+    params: ModelParams
+    profile: DriveProfile
+    initial: MomentState | None = None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
-def _evolve(leg_map, params, profile, legs, sample_stride, initial) -> Trajectory:
-    """Checked trajectory on the :func:`sample_grid` ``legs``, each leg stepped by ``leg_map(G, W, h)``.
+def _evolve(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> list:
+    """Checked trajectories of ``runs`` on their shared :func:`sample_grid` ``legs``, each leg stepped by
+    ``leg_map(G, W, h)`` on the (k, 17, 17) stack of the members' generators; a member that fails its check
+    is its InvariantViolation.
 
-    The state is v = [mu, cos 2wt, sin 2wt, Sigma, 1]; powers of the leg's map reach the kept
-    samples, whose mu and Sigma are sliced from it, row 0 the initial state's.
+    The state is v = [mu, cos 2wt, sin 2wt, Sigma, 1]; powers of the leg's maps fill one (k, samples, 17) block
+    with the kept samples, whose mu and Sigma are sliced from it, row 0 the initial state's.
     """
-    mu, sigma = _gaussian((initial or MomentState()).as_array())
-    v = np.concatenate([mu, [1.0, 0.0], sigma, [1.0]])  # cos = 1, sin = 0 at t = 0
-    blocks = [v[None]]
+    times = grid_times(legs)
+    vs = np.empty((len(runs), len(times), 17))
+    for row, run in zip(vs, runs):
+        row[0] = _VACUUM if run.initial is None else _start(run.initial)
+    # a lone run steps without the batch axis: numpy's 2-D calls cost less, and give the same bits
+    block, stack = (vs[0], operator.itemgetter(0)) if len(runs) == 1 else (vs, np.array)
+    v, done = block[..., 0, :], 1
     for leg in legs:
-        e = leg_map(*_exact_generator(params.g * leg.window, params, profile), leg.h)
-        states, v = _leg_states(e, v, leg, sample_stride)
-        blocks.append(states)
+        gens, clocks = zip(*(_exact_generator(run.params.g * leg.window, run.params, run.profile) for run in runs))
+        e = leg_map(stack(gens), stack(clocks), leg.h)
+        v = _leg_states(e, v, leg, sample_stride, block[..., done:done + leg.kept.size, :])
+        done += leg.kept.size
 
-    vs = np.concatenate(blocks).T
-    traj = Trajectory(times=grid_times(legs), mu=vs[:4], sigma=vs[6:16], params=params)
-    _check_physical(traj.moments, traj.sigma, traj.times)
+    flat = vs.reshape(-1, 17).T
+    moments = _raw_moments(flat[:4], flat[6:16])  # every member's samples in one pass, as each would alone
+    checks = _physical_checks(moments, flat[6:16])
+    failed = functools.reduce(np.logical_or, checks.values()).reshape(len(runs), -1).any(axis=1).tolist()
+    out = []
+    for i, run in enumerate(runs):
+        traj = Trajectory(times=times, mu=vs[i].T[:4], sigma=vs[i].T[6:16], params=run.params)
+        traj.__dict__["moments"] = moments[i * len(times):(i + 1) * len(times)]  # the cached_property's value
+        try:
+            if failed[i]:
+                _check_physical(traj.moments, traj.sigma, times)  # raises the member's own message
+            out.append(traj)
+        except InvariantViolation as exc:
+            out.append(exc)
+    return out
+
+
+def _run(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> list:
+    """:func:`_evolve`'s outcomes; a stacked pass that raises (a drive :func:`drive_harmonics` refuses, a singular
+    solve) runs again one member at a time, so each member's outcome is its lone one and the others' bits stay."""
+    try:
+        return _evolve(leg_map, runs, legs, sample_stride) if runs else []
+    except Exception as exc:  # re-raised by whoever reads this member: propagate, or the CLI at its point
+        return [exc] if len(runs) == 1 else [_run(leg_map, [run], legs, sample_stride)[0] for run in runs]
+
+
+def _shared_grid(runs: list[Run], step: float, t_end: float, sample_stride: int) -> list[Leg]:
+    """The :func:`sample_grid` every member of a batch runs on; their tau, the leg boundary, must agree."""
+    taus = {run.params.tau for run in runs}
+    if len(taus) != 1:
+        raise ValueError(f"a batch shares one grid, so one tau; got {sorted(taus)}")
+    return sample_grid(step, t_end, taus.pop(), sample_stride)
+
+
+def _over_cap(step: float, run: Run) -> StepTooLarge | None:
+    """The error :func:`integrate` raises when ``step`` exceeds the run's :func:`max_step`, else None."""
+    cap = max_step(run.params, run.profile)
+    if step > cap * (1.0 + 1e-12):
+        return StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
+    return None
+
+
+def _lone(outcomes: list) -> Trajectory:
+    (traj,) = outcomes
+    if isinstance(traj, Exception):
+        raise traj
     return traj
+
+
+def integrate_batch(runs: list[Run], step: float, t_end: float, sample_stride: int = 1) -> list:
+    """:func:`integrate` of each of ``runs``, which share one grid (one tau), as one stacked batch.
+
+    Returns one outcome per run, in order: its Trajectory, bit for bit that of a lone
+    :func:`integrate`, or the error the lone run raises. A grid no run has raises
+    its ValueError, as :func:`sample_grid` does.
+    """
+    legs = _shared_grid(runs, step, t_end, sample_stride)
+    refused = [_over_cap(step, run) for run in runs]
+    done = iter(_run(_rk4_map, [run for run, no in zip(runs, refused) if no is None], legs, sample_stride))
+    return [no or next(done) for no in refused]
+
+
+def propagate_batch(runs: list[Run], step: float, t_end: float, sample_stride: int = 1) -> list:
+    """:func:`propagate` of each of ``runs``, which share one grid (one tau), as one stacked batch.
+
+    Returns one outcome per run, in order, as :func:`integrate_batch` does. The batch's
+    arrays grow with its samples in all, so a caller that bounds memory bounds those.
+    """
+    return _run(_exact_map, runs, _shared_grid(runs, step, t_end, sample_stride), sample_stride)
 
 
 def integrate(
@@ -427,10 +553,11 @@ def integrate(
     """Fixed-step classical fourth-order Runge-Kutta integration of the moment equations.
 
     Runs :func:`propagate`'s state and legs with one RK4 step map per leg
-    (:func:`_rk4_map`) in place of the exact one. Starts from the vacuum (all
-    moments zero) unless ``initial`` is supplied, which is meant for
-    validation runs that inject a prepared state. Every ``sample_stride``-th
-    step is retained, plus the final one.
+    (:func:`_rk4_map`) in place of the exact one: a batch of one
+    (:func:`integrate_batch`). Starts from the vacuum (all moments zero)
+    unless ``initial`` is supplied, which is meant for validation runs that
+    inject a prepared state. Every ``sample_stride``-th step is retained,
+    plus the final one.
 
     Raises
     ------
@@ -441,11 +568,7 @@ def integrate(
         (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
-    cap = max_step(params, profile)
-    if step > cap * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
-    return _evolve(_rk4_map, params, profile, legs, sample_stride, initial)
+    return _lone(integrate_batch([Run(params, profile, initial)], step, t_end, sample_stride))
 
 
 def propagate(
@@ -461,11 +584,11 @@ def propagate(
     Takes no RK4 steps: each leg's generator (:func:`_exact_generator`) is
     exponentiated once over one step h. Sample times and the checks on the
     result are those of :func:`integrate`; being exact, it has no step cap.
+    A batch of one (:func:`propagate_batch`).
 
     Raises
     ------
     InvariantViolation
         As :func:`integrate`.
     """
-    legs = sample_grid(step, t_end, params.tau, sample_stride)
-    return _evolve(lambda gen, clock, h: expm((gen + clock) * h), params, profile, legs, sample_stride, initial)
+    return _lone(propagate_batch([Run(params, profile, initial)], step, t_end, sample_stride))

@@ -25,6 +25,7 @@ from .model import DriveProfile, ModelParams
 __all__ = [
     "DecompositionResult",
     "EnergyReport",
+    "batch_columns",
     "decompose",
     "energy_columns",
     "ergotropy_b",
@@ -78,6 +79,21 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
     }
     raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")
     return e_b, erg, e_b - erg, m, e_a
+
+
+def batch_columns(trajs: list, omega0: float) -> list | None:
+    """:func:`energy_columns` of each trajectory of a batch (``dynamics.propagate_batch``), from one pass over all
+    their samples. The columns work sample by sample, so each is bit for bit its lone value. None when an outcome is
+    an error or a sample fails a check: each trajectory is then read alone, which names its own failure.
+    """
+    if not all(isinstance(t, Trajectory) for t in trajs):
+        return None
+    try:
+        columns = energy_columns(np.hstack([t.mu for t in trajs]), np.hstack([t.sigma for t in trajs]), omega0)
+    except UnphysicalState:
+        return None
+    ends = np.cumsum([len(t) for t in trajs]).tolist()
+    return [tuple(c[end - len(t):end] for c in columns) for t, end in zip(trajs, ends)]
 
 
 def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:

@@ -23,7 +23,7 @@ from qbattery.cli import (
     selftest_report,
 )
 from qbattery.dynamics import default_step, propagate, run_size
-from qbattery.errors import ConfigError, SingularDenominator, TruncationLeak
+from qbattery.errors import ConfigError, InvariantViolation, SingularDenominator, TruncationLeak
 from qbattery.model import DriveKind, DriveProfile, ModelParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -39,6 +39,22 @@ def base_config(out_path, **overrides):
     for key, value in overrides.items():
         doc[key] = value
     return doc
+
+
+#: (section, key) of the document value each sweep parameter replaces
+SWEPT_KEYS = {"kappa": ("model", "kappa"), "F0": ("drive", "f0"), "gamma": ("model", "gamma"), "g": ("model", "g")}
+
+
+def observe_batches(monkeypatch) -> list:
+    """The member count of every propagate_batch call the CLI makes from now on, in call order."""
+    sizes, batch = [], cli.propagate_batch
+
+    def observed(runs, *args):
+        sizes.append(len(runs))
+        return batch(runs, *args)
+
+    monkeypatch.setattr(cli, "propagate_batch", observed)
+    return sizes
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -362,14 +378,22 @@ class TestSweep:
             assert (tmp_path / r["path"]).exists()
             assert r["status"] == "ok"
 
-    def test_single_value_sweep_matches_simulate(self, tmp_path):
-        doc = base_config(tmp_path / "s.csv", sweep={"parameter": "g", "values": [0.3]})
+    @pytest.mark.parametrize("parameter,values", [
+        ("g", [0.3]), ("kappa", [0.5, 1.0, 10.0]), ("F0", [0.1, 0.2, 0.4]), ("gamma", [0.05, 0.5, 2.0]),
+        ("g", [0.1, 0.3, 0.5]),
+    ], ids=["g_single", "kappa", "F0", "gamma", "g"])
+    def test_sweep_points_match_simulate(self, tmp_path, monkeypatch, parameter, values):
+        # the points share a grid and run as one batch; each artifact is a lone simulate's, byte for byte
+        sizes = observe_batches(monkeypatch)
+        doc = base_config(tmp_path / "s.csv", sweep={"parameter": parameter, "values": values})
         _, failed = run_sweep(parse_config(doc))
-        assert not failed
-        plain = base_config(tmp_path / "plain.csv")
-        plain["model"]["g"] = 0.3
-        out = run_simulate(parse_config(plain))
-        assert (tmp_path / "s_00.csv").read_bytes() == out.read_bytes()
+        assert not failed and sizes == [len(values)]
+        for i, value in enumerate(values):
+            plain = base_config(tmp_path / "plain.csv")
+            section, key = SWEPT_KEYS[parameter]
+            plain[section][key] = value
+            out = run_simulate(parse_config(plain))
+            assert (tmp_path / f"s_{i:02d}.csv").read_bytes() == out.read_bytes()
 
     def test_sweep_cli_exit(self, tmp_path):
         doc = base_config(tmp_path / "sw.csv", sweep={"parameter": "F0", "values": [0.1, 0.2]})
@@ -450,6 +474,41 @@ class TestSweep:
         again = run_simulate(parse_config(echo))
         assert again.read_bytes() == (tmp_path / "fig3_02.csv").read_bytes()
 
+    def test_auto_step_points_batch_by_grid(self, tmp_path, monkeypatch):
+        # default steps 0.01, 0.01, 0.005, 0.00125, 0.01: consecutive points on one grid share a batch,
+        # and each point's echo alone reproduces its artifact
+        sizes = observe_batches(monkeypatch)
+        doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+        del doc["numerics"]["step"]
+        doc["model"]["nbar"] = 0.3
+        doc["sweep"] = {"parameter": "omega_env", "values": [0.5, 1.0, 5.0, 20.0, 0.7]}
+        doc["output"]["path"] = str(tmp_path / "fig3.csv")
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert sizes == [2, 1, 1, 1]
+        for run in json.loads((tmp_path / "fig3.csv.manifest.json").read_text())["runs"]:
+            echo = json.loads((tmp_path / f"{run['path']}.manifest.json").read_text())["config"]
+            echo["output"]["path"] = str(tmp_path / "rerun.csv")
+            assert run_simulate(parse_config(echo)).read_bytes() == (tmp_path / run["path"]).read_bytes()
+
+    def test_batches_stay_within_max_rows(self, tmp_path, monkeypatch):
+        # three points of 400,001 samples keep more than MAX_ROWS in all: they run as two batches, each
+        # within the budget of one run. The stand-in runs nothing, so no 400,001-row file is written.
+        rows = run_size(0.01, 4000.0, 4000.0, 1)[1]
+        sizes = []
+
+        def observe(runs, step, t_end, sample_stride):
+            sizes.append(len(runs) * run_size(step, t_end, runs[0].params.tau, sample_stride)[1])
+            return [InvariantViolation("not run") for _ in runs]
+
+        monkeypatch.setattr(cli, "propagate_batch", observe)
+        numerics = {"step": 0.01, "t_end": 4000.0, "sample_stride": 1}
+        doc = base_config(tmp_path / "big.csv", drive=STATIC, numerics=numerics,
+                          sweep={"parameter": "F0", "values": [0.1, 0.2, 0.3]})
+        doc["model"]["tau"] = 4000.0
+        _, failed = run_sweep(parse_config(doc))
+        assert sizes == [2 * rows, rows] and max(sizes) <= MAX_ROWS < sum(sizes)
+        assert [run["error"] for run in failed] == ["not run"] * 3
+
 
 @pytest.mark.parametrize("omega0", [0.7, 3.0, 1e8, 1e308])
 def test_over_omega0_columns_are_read_at_unit_omega0(tmp_path, omega0):
@@ -500,6 +559,27 @@ class TestCompare:
         r80 = ratio_at(80.0, 0.0005)
         assert abs(r80 - 1.0) < abs(r20 - 1.0)
         assert abs(r80 - 1.0) < 0.05
+
+    @pytest.mark.parametrize("name", ["compare_underdamped", "compare_overdamped"])
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_report_matches_lone_runs(self, tmp_path, name, stride):
+        # the three partners run as one batch; the report is that of three lone propagate runs
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc["model"]["nbar"] = 0.3
+        doc["numerics"]["sample_stride"] = stride
+        config = parse_config(doc)
+        maxima, argmax = {}, {}
+        for partner, profile in (("cd", config.profile),
+                                 ("bare", DriveProfile.sin_sq(config.profile.f0, config.profile.omega_env)),
+                                 ("static", DriveProfile.static(config.profile.f0))):
+            traj = propagate(config.params, profile, config.step, config.t_end, config.sample_stride)
+            series = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)[1]
+            k = int(np.argmax(series))
+            maxima[partner], argmax[partner] = float(series[k]), float(config.params.g * traj.times[k])
+        report = compare_drives(config)
+        assert report["max_ergotropy_over_omega0"] == maxima and report["argmax_g_tau"] == argmax
+        assert report["ratios"] == {"cd_over_static": maxima["cd"] / maxima["static"],
+                                    "cd_over_bare": maxima["cd"] / maxima["bare"]}
 
     def test_compare_writes_report(self, tmp_path):
         doc = base_config(tmp_path / "cmp_report.json")

@@ -15,21 +15,25 @@ from qbattery.cd_control import drive_field
 from qbattery.dynamics import (
     PHYSICALITY_TOL,
     MomentState,
+    Run,
     Trajectory,
     _check_physical,
     _exact_generator,
     _gaussian,
+    _orbit,
     _raw_moments,
     expm,
     grid_times,
     integrate,
+    integrate_batch,
     max_step,
     propagate,
+    propagate_batch,
     run_size,
     sample_grid,
 )
 from qbattery.energetics import ergotropy_b
-from qbattery.errors import InvariantViolation, StepTooLarge
+from qbattery.errors import InvariantViolation, QBatteryError, SingularDenominator, StepTooLarge
 from qbattery.model import DriveKind, DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve
 
@@ -731,3 +735,106 @@ class TestExactPropagator:
         bad = MomentState(a_mean=1.0 + 0j, na=0.1)  # occupation below |<a>|^2
         with pytest.raises(InvariantViolation, match="sample 0 at t=0"):
             propagate(params(), DriveProfile.off(), 0.01, 0.5, initial=bad)
+
+
+def same_bits(a: Trajectory, b: Trajectory) -> bool:
+    return all(getattr(a, f).shape == getattr(b, f).shape and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("times", "mu", "sigma"))
+
+
+def lone_outcome(engine, run, step, t_end, stride):
+    """What ``engine`` returns for ``run`` alone, or the error it raises."""
+    try:
+        return engine(run.params, run.profile, step, t_end, stride, initial=run.initial)
+    except QBatteryError as exc:
+        return exc
+
+
+def assert_batch_matches_lone_runs(runs, step, t_end, stride):
+    """Each member of a propagate and of an integrate batch is its lone run bit for bit, or its lone error."""
+    for engine, batch in ((propagate, propagate_batch), (integrate, integrate_batch)):
+        for run, got in zip(runs, batch(runs, step, t_end, stride), strict=True):
+            want = lone_outcome(engine, run, step, t_end, stride)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want), (engine.__name__, got, want)
+            else:
+                assert isinstance(got, Trajectory) and same_bits(got, want), engine.__name__
+                assert got.moments.tobytes() == want.moments.tobytes()
+
+
+batch_member = st.builds(
+    lambda kind, f0, omega_env, g, gamma, nbar, delta_r, injected: (
+        DriveProfile(kind, f0, omega_env),
+        dict(g=g, gamma=gamma, nbar=nbar, delta_r=delta_r),
+        STARTS["injected"] if injected else None,
+    ),
+    kind=st.sampled_from(list(DriveKind)),
+    f0=st.floats(0.0, 0.5),
+    omega_env=st.floats(0.1, 1.2),
+    g=st.floats(0.0, 0.5),
+    gamma=st.sampled_from([0.05, 0.3, 1.0]),
+    nbar=st.sampled_from([0.0, 0.3]),
+    delta_r=st.sampled_from([0.0, 0.4]),
+    injected=st.booleans(),
+)
+
+
+def doubling_by_concatenation(m, v, count):
+    """Rows v, m v, .., m^(count-1) v, each doubling a fresh array: the reference for _orbit's bits."""
+    out, power = v[None], m
+    while len(out) < count:
+        out = np.concatenate([out, out @ power.T])
+        if len(out) < count:
+            power = power @ power
+    return out[:count]
+
+
+class TestBatch:
+    """propagate_batch and integrate_batch: every member is its lone run, whatever the others do."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 16, 17, 33, 100, 257])
+    def test_orbit_rounds_as_doubling_by_concatenation(self, count):
+        # _orbit fills a preallocated block; a last doubling of one row must still take gemm's rounding
+        rng = np.random.default_rng(count)
+        m = np.eye(17) + 0.05 * rng.standard_normal((3, 17, 17))
+        v = rng.standard_normal((3, 17))
+        for lead in (0, slice(None)):  # a lone run has no batch axis, a batch has one
+            out = np.empty((3, count, 17))[lead]
+            out[..., 0, :] = v[lead]
+            _orbit(m[lead], out)
+            want = [doubling_by_concatenation(m[i], v[i], count) for i in range(3)]
+            assert out.tobytes() == (want[0] if lead == 0 else np.array(want)).tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        members=st.lists(batch_member, min_size=1, max_size=4),
+        step=st.sampled_from([0.01, 0.013, 0.05]),
+        t_end=st.sampled_from([0.4, 1.3]),
+        two_legs=st.booleans(),
+        stride=st.sampled_from([1, 7, 10]),
+    )
+    def test_members_match_lone_runs(self, members, step, t_end, two_legs, stride):
+        # omega_env up to 1.2 puts some RK4 members past their step cap at step 0.05: those are StepTooLarge
+        tau = 0.37 * t_end if two_legs else t_end
+        runs = [Run(params(tau=tau, **model), prof, start) for prof, model, start in members]
+        assert_batch_matches_lone_runs(runs, step, t_end, stride)
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_failing_member_leaves_the_others(self, stride):
+        # F0 = 1e300 overflows its means (InvariantViolation); a CD drive at gamma = delta_r = 0 is refused
+        # while its generator is built (SingularDenominator), which makes the stacked pass run member by member
+        p = params(g=0.2, gamma=0.05, nbar=0.3, tau=1.0)
+        runs = [Run(p, DriveProfile.cd_sin_sq(0.2, 0.5)), Run(p, DriveProfile.static(1e300)),
+                Run(p, DriveProfile.sin_sq(0.3, 0.5), STARTS["injected"])]
+        assert_batch_matches_lone_runs(runs, 0.01, 2.0, stride)
+        assert isinstance(propagate_batch(runs, 0.01, 2.0, stride)[1], InvariantViolation)
+        frozen = Run(replace(p, gamma=0.0), DriveProfile.cd_sin_sq(0.2, 0.5))
+        assert_batch_matches_lone_runs([runs[0], frozen, runs[2]], 0.01, 2.0, stride)
+        assert isinstance(propagate_batch([runs[0], frozen], 0.01, 2.0, stride)[1], SingularDenominator)
+
+    def test_members_share_one_grid(self):
+        runs = [Run(params(tau=1.0), DriveProfile.off()), Run(params(tau=2.0), DriveProfile.off())]
+        with pytest.raises(ValueError, match=r"a batch shares one grid, so one tau; got \[1.0, 2.0\]"):
+            propagate_batch(runs, 0.01, 3.0)
+        with pytest.raises(ValueError, match="sample_stride must be >= 1, got 0"):
+            propagate_batch(runs[:1], 0.01, 3.0, 0)
