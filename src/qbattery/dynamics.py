@@ -20,14 +20,14 @@ Two engines run the same leg loop (:func:`_evolve`) and differ only in that map:
 * :func:`integrate` is classical RK4 on (mu, Sigma), the clock advanced
   exactly by e^{W c h} to the stage times, kept as the cross-check of the step rule.
 
-The loop steps a batch of k runs that share one grid (:func:`propagate_batch`,
-:func:`integrate_batch`; a lone run is the batch of one): the leg maps of all
-members form one (k, 17, 17) stack, :func:`expm` gives each member its own
-squaring count, and numpy's ``@``, ``solve`` and ``matrix_power`` work one
-member at a time, so every member is bit for bit its lone run. ``compare``
-runs its three drives as one batch, and ``sweep`` the consecutive points
-that share a grid, at most MAX_ROWS samples a batch. A member that fails its
-check is its own error and leaves the others' bits untouched.
+The loop steps a batch of k runs that share one grid (:func:`propagate_batch`; a lone run
+is the batch of one). Each member is judged before the stack (:func:`_refusal`), a refused
+one being its lone run's error, and nothing inside the stack raises: the leg maps of the
+accepted members form one (k, 17, 17) stack, :func:`expm` gives each member its own squaring
+count, and numpy's ``@``, ``solve`` and ``matrix_power`` work one member at a time, so every
+member is bit for bit its lone run. ``compare`` runs its three drives as one batch, and
+``sweep`` the consecutive points that share a grid, at most MAX_ROWS samples a batch. A
+member that fails its check is its own error and leaves the others' bits untouched.
 
 Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
 in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
@@ -43,12 +43,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .cd_control import drive_harmonics
-from .errors import InvariantViolation, StepTooLarge
+from .errors import InvariantViolation, QBatteryError, SingularDenominator, StepTooLarge
 from .model import DriveProfile, ModelParams
 
 __all__ = [
-    "MomentState", "Run", "Trajectory", "default_step", "integrate", "integrate_batch", "max_step", "propagate",
-    "propagate_batch", "run_size",
+    "MomentState", "Run", "Trajectory", "default_step", "integrate", "max_step", "propagate", "propagate_batch",
+    "run_size",
 ]
 
 #: most steps a run may take: sample_grid's step indices, up to n_steps + 1, are int64
@@ -330,6 +330,7 @@ class Trajectory:
 _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails the caller's check
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a matrix or a stack (..., n, n) by scaling and squaring with the [6/6] Pade approximant.
 
@@ -338,11 +339,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     Matrix Computations, alg. 11.3.1), and the result is squared s times. numpy's
     ``@`` and ``solve`` work one matrix of a stack at a time, so each member gets
     the bits it gets alone. No eigendecomposition is taken, so defective
-    matrices need no special case.
+    matrices need no special case. The scale 2^-s is exact down to 2^-1025, so no
+    norm overflows it and nothing raises: a matrix holding inf or nan, or one whose
+    exponential is past the largest double, gives a non-finite result.
     """
     norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
-    s = np.reshape([max(0, math.frexp(x)[1] + 1) if x > 0.5 else 0 for x in np.ravel(norms).tolist()], norms.shape)
-    x = a / np.reshape([2.0**k for k in s.ravel().tolist()], norms.shape + (1, 1))
+    s = np.where(norms > 0.5, np.frexp(norms)[1] + 1, 0)
+    x = a * np.ldexp(1.0, -s)[..., None, None]  # not a / 2.0**s, which overflows past s = 1023
     eye = np.eye(a.shape[-1], dtype=x.dtype)
     c = _PADE6
     x2 = x @ x
@@ -442,7 +445,7 @@ _VACUUM = _start(MomentState())  # the start of every run that injects no state
 
 
 class Run(NamedTuple):
-    """One member of a batch (:func:`propagate_batch`): what a lone run takes besides its grid."""
+    """One member of a batch (:func:`propagate_batch`), judged before the stack: what a run takes besides its grid."""
 
     params: ModelParams
     profile: DriveProfile
@@ -488,29 +491,34 @@ def _evolve(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> li
     return out
 
 
-def _run(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> list:
-    """:func:`_evolve`'s outcomes; a stacked pass that raises (a drive :func:`drive_harmonics` refuses, a singular
-    solve) runs again one member at a time, so each member's outcome is its lone one and the others' bits stay."""
-    try:
-        return _evolve(leg_map, runs, legs, sample_stride) if runs else []
-    except Exception as exc:  # re-raised by whoever reads this member: propagate, or the CLI at its point
-        return [exc] if len(runs) == 1 else [_run(leg_map, [run], legs, sample_stride)[0] for run in runs]
+def _refusal(run: Run, legs: list[Leg], step: float, rk4: bool) -> QBatteryError | None:
+    """The error a lone run of ``run`` raises before it steps, else None: a ``step`` past the run's
+    :func:`max_step` if ``rk4``, then a drive :func:`drive_harmonics` refuses, once ``legs`` has a leg to drive."""
+    if rk4 and step > (cap := max_step(run.params, run.profile)) * (1.0 + 1e-12):
+        return StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
+    if legs:
+        try:
+            drive_harmonics(run.profile, run.params.delta_r, run.params.gamma)
+        except SingularDenominator as exc:
+            return exc
+    return None
 
 
-def _shared_grid(runs: list[Run], step: float, t_end: float, sample_stride: int) -> list[Leg]:
-    """The :func:`sample_grid` every member of a batch runs on; their tau, the leg boundary, must agree."""
+def _batch(runs: list[Run], step: float, t_end: float, sample_stride: int, rk4: bool = False) -> list:
+    """One outcome per run, in order: :func:`integrate`'s if ``rk4``, else :func:`propagate`'s.
+
+    The members share one :func:`sample_grid`, so one tau, the leg boundary; a grid no run has raises its
+    ValueError. Every member is judged first (:func:`_refusal`); the accepted ones are stepped as one stack,
+    once, and a refused one is its error.
+    """
     taus = {run.params.tau for run in runs}
     if len(taus) != 1:
         raise ValueError(f"a batch shares one grid, so one tau; got {sorted(taus)}")
-    return sample_grid(step, t_end, taus.pop(), sample_stride)
-
-
-def _over_cap(step: float, run: Run) -> StepTooLarge | None:
-    """The error :func:`integrate` raises when ``step`` exceeds the run's :func:`max_step`, else None."""
-    cap = max_step(run.params, run.profile)
-    if step > cap * (1.0 + 1e-12):
-        return StepTooLarge(f"step {step} exceeds cap {cap:.6g} for these parameters")
-    return None
+    legs = sample_grid(step, t_end, taus.pop(), sample_stride)
+    refused = [_refusal(run, legs, step, rk4) for run in runs]
+    accepted = [run for run, no in zip(runs, refused) if no is None]
+    done = iter(_evolve(_rk4_map if rk4 else _exact_map, accepted, legs, sample_stride) if accepted else ())
+    return [no or next(done) for no in refused]
 
 
 def _lone(outcomes: list) -> Trajectory:
@@ -520,26 +528,15 @@ def _lone(outcomes: list) -> Trajectory:
     return traj
 
 
-def integrate_batch(runs: list[Run], step: float, t_end: float, sample_stride: int = 1) -> list:
-    """:func:`integrate` of each of ``runs``, which share one grid (one tau), as one stacked batch.
-
-    Returns one outcome per run, in order: its Trajectory, bit for bit that of a lone
-    :func:`integrate`, or the error the lone run raises. A grid no run has raises
-    its ValueError, as :func:`sample_grid` does.
-    """
-    legs = _shared_grid(runs, step, t_end, sample_stride)
-    refused = [_over_cap(step, run) for run in runs]
-    done = iter(_run(_rk4_map, [run for run, no in zip(runs, refused) if no is None], legs, sample_stride))
-    return [no or next(done) for no in refused]
-
-
 def propagate_batch(runs: list[Run], step: float, t_end: float, sample_stride: int = 1) -> list:
     """:func:`propagate` of each of ``runs``, which share one grid (one tau), as one stacked batch.
 
-    Returns one outcome per run, in order, as :func:`integrate_batch` does. The batch's
-    arrays grow with its samples in all, so a caller that bounds memory bounds those.
+    Returns one outcome per run, in order: its Trajectory, bit for bit that of a lone :func:`propagate`, or the
+    error the lone run raises. Members are judged before the stack, so a drive :func:`drive_harmonics` refuses
+    takes no part in it; nothing inside the stack raises, and a member whose numbers overflow is its
+    InvariantViolation. The batch's arrays grow with its samples in all, so a caller that bounds memory bounds those.
     """
-    return _run(_exact_map, runs, _shared_grid(runs, step, t_end, sample_stride), sample_stride)
+    return _batch(runs, step, t_end, sample_stride)
 
 
 def integrate(
@@ -553,8 +550,8 @@ def integrate(
     """Fixed-step classical fourth-order Runge-Kutta integration of the moment equations.
 
     Runs :func:`propagate`'s state and legs with one RK4 step map per leg
-    (:func:`_rk4_map`) in place of the exact one: a batch of one
-    (:func:`integrate_batch`). Starts from the vacuum (all moments zero)
+    (:func:`_rk4_map`) in place of the exact one: a batch of one, judged
+    before it steps (:func:`_refusal`). Starts from the vacuum (all moments zero)
     unless ``initial`` is supplied, which is meant for validation runs that
     inject a prepared state. Every ``sample_stride``-th step is retained,
     plus the final one.
@@ -568,7 +565,7 @@ def integrate(
         (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    return _lone(integrate_batch([Run(params, profile, initial)], step, t_end, sample_stride))
+    return _lone(_batch([Run(params, profile, initial)], step, t_end, sample_stride, rk4=True))
 
 
 def propagate(
@@ -584,11 +581,11 @@ def propagate(
     Takes no RK4 steps: each leg's generator (:func:`_exact_generator`) is
     exponentiated once over one step h. Sample times and the checks on the
     result are those of :func:`integrate`; being exact, it has no step cap.
-    A batch of one (:func:`propagate_batch`).
+    A batch of one, judged before it steps (:func:`_refusal`).
 
     Raises
     ------
     InvariantViolation
         As :func:`integrate`.
     """
-    return _lone(propagate_batch([Run(params, profile, initial)], step, t_end, sample_stride))
+    return _lone(_batch([Run(params, profile, initial)], step, t_end, sample_stride))

@@ -530,6 +530,47 @@ def test_over_omega0_columns_are_read_at_unit_omega0(tmp_path, omega0):
         assert all(row[e_b] == row[nb] for row in lines)
 
 
+def oversized_fig3(out_path, **sections):
+    """The fig3 model driven by static F0 1.7e308 at step 1: its leg generator's infinity norm is past 2^1023."""
+    doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+    doc["drive"] = {"profile": "static", "f0": 1.7e308}
+    doc["numerics"]["step"] = 1
+    doc["output"]["path"] = str(out_path)
+    return {**doc, **sections}
+
+
+class TestOversizedGenerator:
+    """A validated run whose leg generator is past 2^1023 fails at its first sample as one runtime error line."""
+
+    MESSAGE = "sample 1 at t=10: non-finite moment: centered na=nan, nb=nan"
+
+    def test_simulate(self, tmp_path, capsys):
+        p = write_config(tmp_path, oversized_fig3(tmp_path / "big.csv"))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"runtime error: {self.MESSAGE}\n"
+
+    def test_sweep_fails_only_its_point(self, tmp_path, monkeypatch, capsys):
+        sizes = observe_batches(monkeypatch)
+        doc = oversized_fig3(tmp_path / "sw.csv", sweep={"parameter": "F0", "values": [0.2, 1.7e308, 0.3]})
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: sweep: 1 of 3 points failed; first F0 = 1.7e+308: {self.MESSAGE}\n"
+        runs = json.loads((tmp_path / "sw.csv.manifest.json").read_text())["runs"]
+        assert [run["status"] for run in runs] == ["ok", "error", "ok"] and sizes == [3]
+        assert runs[1]["error_type"] == "InvariantViolation" and not (tmp_path / "sw_01.csv").exists()
+        for i, f0 in ((0, 0.2), (2, 0.3)):
+            plain = oversized_fig3(tmp_path / "plain.csv")
+            plain["drive"]["f0"] = f0
+            assert (tmp_path / f"sw_{i:02d}.csv").read_bytes() == run_simulate(parse_config(plain)).read_bytes()
+
+    def test_compare(self, tmp_path, capsys):
+        doc = oversized_fig3(tmp_path / "cmp.json")
+        doc["drive"] = {"profile": "cd_sin_sq", "f0": 1.7e308, "omega_env": 0.5}
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: sample 1 at t=10: non-finite moment") and err.count("\n") == 1
+
+
 class TestCompare:
     def test_zero_drive_reports_null_ratios(self, tmp_path):
         doc = base_config(tmp_path / "cmp.json")

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbattery.cli import MAX_ROWS, SWEEP_PARAMETERS, _apply_sweep_value, main, parse_config
@@ -128,8 +128,18 @@ def _check_outputs(tmp: Path, command: str, doc) -> None:
         assert parse_config(echo) == point
 
 
+#: the fig3 model at static F0 1.7e308 and step 1, whose leg generator is past 2^1023: no draw pairs such an F0 and step
+OVERSIZED = {
+    "model": {"omega0": 1.0, "g": 0.2, "gamma": 0.05, "nbar": 0.0, "kappa": 1.0, "tau": 20.0},
+    "drive": {"profile": "static", "f0": 1.7e308},
+    "numerics": {"step": 1, "t_end": 20.0, "sample_stride": 10},
+    "output": {"path": "out.csv", "format": "csv"},
+}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(commands())
+@example(("simulate", OVERSIZED))
 def test_any_document_runs_or_fails_with_one_typed_line(tmp_path_factory, command_doc):
     command, doc = command_doc
     tmp = tmp_path_factory.mktemp("fuzz")

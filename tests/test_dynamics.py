@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_reference import moment_rhs, rhs as reference_rhs, split
+from qbattery import dynamics
 from qbattery.cd_control import drive_field
 from qbattery.dynamics import (
     PHYSICALITY_TOL,
     MomentState,
     Run,
     Trajectory,
+    _batch,
     _check_physical,
     _exact_generator,
     _gaussian,
@@ -25,7 +27,6 @@ from qbattery.dynamics import (
     expm,
     grid_times,
     integrate,
-    integrate_batch,
     max_step,
     propagate,
     propagate_batch,
@@ -597,6 +598,21 @@ class TestExpm:
     def test_zero_matrix_is_identity(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("entry", [2.0**1023, 1.7e308, math.inf, -math.inf, math.nan])
+    def test_oversized_or_non_finite_member_is_non_finite_and_leaves_the_others(self, dtype, entry):
+        # from infinity norm 2^1023 on, the scale 2^-s is subnormal, where 1 / 2.0**s overflowed. Neither an oversized
+        # member nor one holding inf or nan raises, and an ordinary member of the same stack keeps its lone bits.
+        rng = np.random.default_rng(7)
+        bad = (np.eye(4) + 0.1 * rng.standard_normal((4, 4))).astype(dtype)
+        bad[0, 0] = entry
+        ordinary = (1.5 * rng.standard_normal((4, 4))).astype(dtype)  # squared a few times
+        assert not np.isfinite(expm(bad)).all()
+        for i in (0, 1):  # the ordinary member's place in the stack
+            got = expm(np.array([ordinary, bad] if i == 0 else [bad, ordinary]))
+            assert not np.isfinite(got[1 - i]).all()
+            assert got[i].tobytes() == expm(ordinary).tobytes()
+
 
 def run_fresh(code):
     """What ``code`` prints in a fresh interpreter."""
@@ -750,6 +766,11 @@ def lone_outcome(engine, run, step, t_end, stride):
         return exc
 
 
+def integrate_batch(runs, step, t_end, stride):
+    """integrate of each of ``runs`` as one stacked batch: the RK4 batch integrate is the lone member of."""
+    return _batch(runs, step, t_end, stride, rk4=True)
+
+
 def assert_batch_matches_lone_runs(runs, step, t_end, stride):
     """Each member of a propagate and of an integrate batch is its lone run bit for bit, or its lone error."""
     for engine, batch in ((propagate, propagate_batch), (integrate, integrate_batch)):
@@ -821,8 +842,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_failing_member_leaves_the_others(self, stride):
-        # F0 = 1e300 overflows its means (InvariantViolation); a CD drive at gamma = delta_r = 0 is refused
-        # while its generator is built (SingularDenominator), which makes the stacked pass run member by member
+        # F0 = 1e300 overflows its means (InvariantViolation) inside the stack; a CD drive at gamma = delta_r = 0
+        # is refused before the stack is built (SingularDenominator), and the others are stacked without it
         p = params(g=0.2, gamma=0.05, nbar=0.3, tau=1.0)
         runs = [Run(p, DriveProfile.cd_sin_sq(0.2, 0.5)), Run(p, DriveProfile.static(1e300)),
                 Run(p, DriveProfile.sin_sq(0.3, 0.5), STARTS["injected"])]
@@ -831,6 +852,24 @@ class TestBatch:
         frozen = Run(replace(p, gamma=0.0), DriveProfile.cd_sin_sq(0.2, 0.5))
         assert_batch_matches_lone_runs([runs[0], frozen, runs[2]], 0.01, 2.0, stride)
         assert isinstance(propagate_batch([runs[0], frozen], 0.01, 2.0, stride)[1], SingularDenominator)
+
+    @pytest.mark.parametrize("two_legs", [False, True])
+    def test_stack_runs_once_whatever_a_member_is_refused_for(self, monkeypatch, two_legs):
+        # one expm call per leg per batch: a refused member is judged before the stack and never reruns it
+        calls = []
+        monkeypatch.setattr(dynamics, "expm", lambda a: calls.append(a.shape) or expm(a))
+        p = params(g=0.2, gamma=0.05, nbar=0.3, tau=1.0 if two_legs else 2.0)
+        frozen = Run(replace(p, gamma=0.0), DriveProfile.cd_sin_sq(0.2, 0.5))
+        runs = [Run(p, DriveProfile.sin_sq(0.3, 0.5)), frozen, Run(p, DriveProfile.static(1e300)),
+                Run(p, DriveProfile.cd_sin_sq(0.2, 0.5))]
+        outcomes = propagate_batch(runs, 0.01, 2.0, 10)
+        assert [type(x) for x in outcomes] == [Trajectory, SingularDenominator, InvariantViolation, Trajectory]
+        assert calls == [(3, 17, 17)] * (1 + two_legs)
+        calls.clear()
+        fast = Run(p, DriveProfile.sin_sq(0.3, 5.0))  # omega_env 5 caps RK4's step at 0.01
+        outcomes = integrate_batch([runs[0], fast, runs[3]], 0.05, 2.0, 10)
+        assert [type(x) for x in outcomes] == [Trajectory, StepTooLarge, Trajectory]
+        assert calls == [(2, 17, 17)] * (1 + two_legs)
 
     def test_members_share_one_grid(self):
         runs = [Run(params(tau=1.0), DriveProfile.off()), Run(params(tau=2.0), DriveProfile.off())]
