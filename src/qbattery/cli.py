@@ -20,8 +20,8 @@ import numpy as np
 
 from . import energetics
 from .cd_control import cd_hamiltonian_closed, drive_harmonics, propagate_unitary
-from .dynamics import (MAX_ROWS, MomentState, Run, Trajectory, default_step, integrate, propagate, propagate_batch,
-                       run_size)
+from .dynamics import (MAX_ROWS, MomentState, Run, Trajectory, _unwrap, default_step, integrate, propagate,
+                       propagate_batch, run_size)
 from .errors import ConfigError, QBatteryError, SingularDenominator
 from .model import DriveKind, DriveProfile, ModelParams
 
@@ -305,12 +305,9 @@ def _row_chunks(rows: np.ndarray, fmt: str):
         yield _format_values(x.ravel(), seps[:len(x)].ravel())
 
 
-def trajectory_rows(traj: Trajectory, columns: tuple | None = None) -> np.ndarray:
-    """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order.
-
-    ``columns`` are the samples' ``energetics.energy_columns`` at omega0 = 1 when a batch has read them already.
-    """
-    e_b, erg, _, m_value, e_a = columns or energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)
+def trajectory_rows(traj: Trajectory, columns: tuple) -> np.ndarray:
+    """(n, 22) array of the samples' values with their energy ``columns`` at omega0 = 1, in OUTPUT_COLUMNS order."""
+    e_b, erg, _, m_value, e_a = columns
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
@@ -319,8 +316,8 @@ def trajectory_rows(traj: Trajectory, columns: tuple | None = None) -> np.ndarra
     return rows
 
 
-def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict, columns: tuple | None = None) -> int:
-    """Stream one artifact, CSV or JSON: head, _row_chunks, tail; return the row count. Rows are checked first."""
+def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict, columns: tuple) -> int:
+    """Stream one artifact of ``traj`` and ``columns``, CSV or JSON: head, _row_chunks, tail; return the row count."""
     rows = trajectory_rows(traj, columns)
     if fmt == "csv":
         head, tail = ",".join(OUTPUT_COLUMNS) + "\n", ""
@@ -351,13 +348,24 @@ def _manifest_path(out_path: Path) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
+def _read_points(points: list[RunConfig]) -> list:
+    """One outcome per point config of ``points``, which share one grid: its (Trajectory, energy columns at
+    omega0 = 1), or the error its lone run or read raises. One :func:`dynamics.propagate_batch` steps the points
+    and one :func:`energetics.batch_columns` reads them, so each is judged once; a simulate is the batch of one."""
+    head = points[0]
+    trajs = propagate_batch([Run(p.params, p.profile) for p in points], head.step, head.t_end, head.sample_stride)
+    return [read if isinstance(read, Exception) else (traj, read)
+            for traj, read in zip(trajs, energetics.batch_columns(trajs, 1.0))]
+
+
 def run_simulate(config: RunConfig) -> Path:
     if config.out_path is None:
         raise ConfigError("simulate requires output.path")
-    return _write_run(config, propagate(config.params, config.profile, config.step, config.t_end, config.sample_stride))
+    (read,) = _read_points([config])
+    return _write_run(config, *_unwrap(read))
 
 
-def _write_run(config: RunConfig, traj: Trajectory, columns: tuple | None = None) -> Path:
+def _write_run(config: RunConfig, traj: Trajectory, columns: tuple) -> Path:
     """Write the data artifact and the manifest of one simulate run of ``config``; return the artifact's path."""
     out_path = Path(config.out_path)
     echo = config.to_dict()
@@ -402,7 +410,7 @@ def _batches(points: list):
 def run_sweep(config: RunConfig) -> tuple[Path, list]:
     """Run one simulate per sweep value; returns (manifest path, the manifest entries of the points that failed).
 
-    Consecutive points that share a grid run as one :func:`dynamics.propagate_batch`; each point's files
+    Consecutive points that share a grid run as one batch (:func:`_read_points`); each point's files
     are written, in point order, as :func:`run_simulate` writes them.
     """
     if config.sweep_parameter is None:
@@ -415,16 +423,10 @@ def run_sweep(config: RunConfig) -> tuple[Path, list]:
               for i, value in enumerate(config.sweep_values)]
     runs = []
     for batch in _batches(points):
-        head = batch[0][1]
-        trajs = propagate_batch([Run(point.params, point.profile) for _, point in batch],
-                                head.step, head.t_end, head.sample_stride)
-        shared = energetics.batch_columns(trajs, 1.0) or [None] * len(trajs)
-        for (value, point), traj, columns in zip(batch, trajs, shared):
+        for (value, point), read in zip(batch, _read_points([point for _, point in batch])):
             entry = {"value": value, "path": Path(point.out_path).name, "status": "ok"}
             try:
-                if isinstance(traj, Exception):
-                    raise traj
-                _write_run(point, traj, columns)
+                _write_run(point, *_unwrap(read))
             except QBatteryError as exc:
                 entry["status"] = "error"
                 entry["error"] = str(exc)
@@ -453,16 +455,11 @@ def compare_drives(config: RunConfig) -> dict:
         "bare": DriveProfile.sin_sq(config.profile.f0, config.profile.omega_env),
         "static": DriveProfile.static(config.profile.f0),
     }
-    trajs = propagate_batch([Run(config.params, profile) for profile in partners.values()],
-                            config.step, config.t_end, config.sample_stride)
     maxima, argmax = {}, {}
-    shared = energetics.batch_columns(trajs, 1.0) or [None] * len(trajs)
-    for name, traj, columns in zip(partners, trajs, shared):
-        if isinstance(traj, Exception):
-            raise traj
-        series = (columns or energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times))[1]  # over omega0
-        k = int(np.argmax(series))
-        maxima[name] = float(series[k])
+    for name, read in zip(partners, _read_points([dataclasses.replace(config, profile=p) for p in partners.values()])):
+        traj, columns = _unwrap(read)  # columns[1] is the ergotropy over omega0
+        k = int(np.argmax(columns[1]))
+        maxima[name] = float(columns[1][k])
         argmax[name] = float(config.params.g * traj.times[k])
 
     def ratio(num: float, den: float):

@@ -20,14 +20,14 @@ Two engines run the same leg loop (:func:`_evolve`) and differ only in that map:
 * :func:`integrate` is classical RK4 on (mu, Sigma), the clock advanced
   exactly by e^{W c h} to the stage times, kept as the cross-check of the step rule.
 
-The loop steps a batch of k runs that share one grid (:func:`propagate_batch`; a lone run
-is the batch of one). Each member is judged before the stack (:func:`_refusal`), a refused
-one being its lone run's error, and nothing inside the stack raises: the leg maps of the
-accepted members form one (k, 17, 17) stack, :func:`expm` gives each member its own squaring
-count, and numpy's ``@``, ``solve`` and ``matrix_power`` work one member at a time, so every
-member is bit for bit its lone run. ``compare`` runs its three drives as one batch, and
-``sweep`` the consecutive points that share a grid, at most MAX_ROWS samples a batch. A
-member that fails its check is its own error and leaves the others' bits untouched.
+The loop steps a batch of k runs that share one grid (:func:`propagate_batch`; a lone run is the batch
+of one). Each member is judged before the stack (:func:`_refusal`), a refused one being its lone run's
+error, and nothing inside the stack raises: the leg maps of the accepted members form one (k, 17, 17)
+stack, :func:`expm` gives each member its own squaring count, and numpy's ``@``, ``solve`` and
+``matrix_power`` work one member at a time, so every member is bit for bit its lone run. One pass over
+the batch's samples then judges each member alone (:func:`_verdicts`), a failing one being the error its
+lone run raises. ``energetics.batch_columns`` reads a batch in one pass too. The CLI's ``simulate`` is a
+batch of one, ``compare`` its three drives and ``sweep`` each stretch of consecutive points on one grid.
 
 Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
 in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
@@ -151,38 +151,41 @@ def _bona_fide(sigma) -> np.ndarray:
     return _positive_2x2(s00, s01, s11) & _positive_2x2(x00, x01, x11, y)
 
 
-def _physical_checks(m: np.ndarray, sigma) -> dict:
-    """Masks of the rows of moments ``m`` that are non-finite or not bona fide (:func:`_bona_fide`)."""
-    return {
+@np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
+def _physicality(m: np.ndarray, sigma, k: int = 1, times: np.ndarray | None = None) -> list:
+    """One outcome per member of the rows of moments ``m`` and packed Sigma ``sigma`` (:func:`_verdicts`): None, or
+    :class:`InvariantViolation` at its first row that is non-finite or not bona fide (:func:`_bona_fide`)."""
+    checks = {
         "non-finite moment": ~np.isfinite(m.view(float)).all(axis=1),
         "covariance breaks the uncertainty principle": ~_bona_fide(sigma),
     }
+    return _verdicts(checks, k, times, InvariantViolation,
+                     lambda i: f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}")
 
 
-@np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check
-def _check_physical(m: np.ndarray, sigma, times: np.ndarray | None = None) -> None:
-    """Raise :class:`InvariantViolation` at the first row of moments ``m`` that is non-finite or not bona fide
-    beyond PHYSICALITY_TOL (:func:`_physical_checks`).
+def _verdicts(checks: dict, k: int, times, error: type, detail) -> list:
+    """One outcome per member of the boolean masks in ``checks``, each over k equal-length members one after
+    another: None, or ``error`` at the member's first row that any mask flags.
 
-    ``sigma`` holds the rows' packed normal-ordered covariances. The message
-    names the row's sample index and time when ``times`` is given.
+    The message gives the first flagged reason for that row, prefixed with its index in the member and its time
+    when ``times``, one member's, is given, and ends with ``detail(i)``, i the row's index in the masks.
     """
-    raise_first_failure(_physical_checks(m, sigma), times, InvariantViolation,
-                        lambda i: f"centered na={sigma[0][i] + sigma[4][i]}, nb={sigma[7][i] + sigma[9][i]}")
-
-
-def raise_first_failure(checks: dict, times, error: type, detail) -> None:
-    """Raise ``error`` at the first row that any boolean mask in ``checks`` flags.
-
-    The message gives the first flagged reason for that row, prefixed with its
-    sample index and time when ``times`` is given, and ends with ``detail(i)``.
-    """
-    bad = np.flatnonzero(functools.reduce(np.logical_or, checks.values()))
-    if bad.size:
-        i = int(bad[0])
+    bad = functools.reduce(np.logical_or, checks.values()).reshape(k, -1)
+    out = [None] * k
+    for j in np.flatnonzero(bad.any(axis=1)).tolist():
+        row = int(bad[j].argmax())
+        i = j * bad.shape[1] + row
         reason = next(msg for msg, mask in checks.items() if mask[i])
-        where = "" if times is None else f"sample {i} at t={times[i]:.6g}: "
-        raise error(f"{where}{reason}: {detail(i)}")
+        where = "" if times is None else f"sample {row} at t={times[row]:.6g}: "
+        out[j] = error(f"{where}{reason}: {detail(i)}")
+    return out
+
+
+def _unwrap(outcome):
+    """``outcome``, one member's of a batch, unless it is an error, which is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ class MomentState:
     def validate(self) -> None:
         """Raise :class:`InvariantViolation` if the state is non-finite or not bona fide beyond PHYSICALITY_TOL."""
         y = self.as_array()[None, :]
-        _check_physical(y, _gaussian(y)[1])
+        _unwrap(*_physicality(y, _gaussian(y)[1]))
 
 
 class Leg(NamedTuple):
@@ -452,7 +455,7 @@ class Run(NamedTuple):
     initial: MomentState | None = None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _check_physical
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result fails _physicality
 def _evolve(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> list:
     """Checked trajectories of ``runs`` on their shared :func:`sample_grid` ``legs``, each leg stepped by
     ``leg_map(G, W, h)`` on the (k, 17, 17) stack of the members' generators; a member that fails its check
@@ -476,18 +479,11 @@ def _evolve(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> li
 
     flat = vs.reshape(-1, 17).T
     moments = _raw_moments(flat[:4], flat[6:16])  # every member's samples in one pass, as each would alone
-    checks = _physical_checks(moments, flat[6:16])
-    failed = functools.reduce(np.logical_or, checks.values()).reshape(len(runs), -1).any(axis=1).tolist()
     out = []
-    for i, run in enumerate(runs):
+    for i, (run, failure) in enumerate(zip(runs, _physicality(moments, flat[6:16], len(runs), times))):
         traj = Trajectory(times=times, mu=vs[i].T[:4], sigma=vs[i].T[6:16], params=run.params)
         traj.__dict__["moments"] = moments[i * len(times):(i + 1) * len(times)]  # the cached_property's value
-        try:
-            if failed[i]:
-                _check_physical(traj.moments, traj.sigma, times)  # raises the member's own message
-            out.append(traj)
-        except InvariantViolation as exc:
-            out.append(exc)
+        out.append(failure or traj)
     return out
 
 
@@ -519,13 +515,6 @@ def _batch(runs: list[Run], step: float, t_end: float, sample_stride: int, rk4: 
     accepted = [run for run, no in zip(runs, refused) if no is None]
     done = iter(_evolve(_rk4_map if rk4 else _exact_map, accepted, legs, sample_stride) if accepted else ())
     return [no or next(done) for no in refused]
-
-
-def _lone(outcomes: list) -> Trajectory:
-    (traj,) = outcomes
-    if isinstance(traj, Exception):
-        raise traj
-    return traj
 
 
 def propagate_batch(runs: list[Run], step: float, t_end: float, sample_stride: int = 1) -> list:
@@ -565,7 +554,7 @@ def integrate(
         (named with its index and time), which signals integrator
         misconfiguration rather than physics.
     """
-    return _lone(_batch([Run(params, profile, initial)], step, t_end, sample_stride, rk4=True))
+    return _unwrap(*_batch([Run(params, profile, initial)], step, t_end, sample_stride, rk4=True))
 
 
 def propagate(
@@ -588,4 +577,4 @@ def propagate(
     InvariantViolation
         As :func:`integrate`.
     """
-    return _lone(_batch([Run(params, profile, initial)], step, t_end, sample_stride))
+    return _unwrap(*_batch([Run(params, profile, initial)], step, t_end, sample_stride))

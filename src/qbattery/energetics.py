@@ -10,7 +10,8 @@ the extractable work is omega0 * (<b'b> - (sqrt(M) - 1)/2), <b'b> = Sigma22 + Si
 As (1 + 2 tr Sigma_B)^2 - M = 4 (Sigma22 - Sigma33)^2 + 16 Sigma23^2, it is computed without
 cancellation as omega0 * (|<b>|^2 + (4 (Sigma22 - Sigma33)^2 + 16 Sigma23^2) / (2 (sqrt(M) + 1 + 2 tr Sigma_B))).
 :func:`energy_columns` evaluates this on every sample of mu and Sigma at once and reads nothing else;
-:func:`ergotropy_b` is a one-row call of it, so a series and its samples share one formula and checks.
+:func:`ergotropy_b` is a one-row call of it, so a series and its samples share one formula and checks, and
+:func:`batch_columns` reads all the samples of a batch in one pass and judges each member alone.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _SHIFT, MomentState, Trajectory, _gaussian, _positive_2x2, propagate, raise_first_failure
+from .dynamics import _SHIFT, MomentState, Trajectory, _gaussian, _positive_2x2, _unwrap, _verdicts, propagate
 from .errors import ConfigError, UnphysicalState
 from .model import DriveProfile, ModelParams
 
@@ -43,7 +44,6 @@ class EnergyReport(NamedTuple):
     e_a: float
 
 
-@np.errstate(invalid="ignore", over="ignore", divide="ignore")  # rows that give inf or nan fail a check
 def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.ndarray | None = None) -> tuple:
     """Columns (e_b, ergotropy_b, passive_b, M, e_a) for the samples of means ``mu`` and packed Sigma ``sigma``.
 
@@ -61,6 +61,15 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
         breaks the uncertainty principle, or a column (e_b, ergotropy, M, e_a) that overflows,
         named with its sample index and time when ``times`` is given.
     """
+    columns, (failure,) = _judged_columns(mu, sigma, omega0, 1, times)
+    _unwrap(failure)
+    return columns
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")  # rows that give inf or nan fail a check
+def _judged_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, k: int, times) -> tuple[tuple, list]:
+    """:func:`energy_columns` of k equal-length members, laid one after another, and one outcome per member: None,
+    or the UnphysicalState its lone call raises, ``times`` being a member's. Raises ConfigError as that does."""
     if not 0.0 < omega0 < np.inf:
         raise ConfigError(f"omega0 must be finite and > 0, got {omega0}")
     # real products and libm hypot: numpy's complex multiply and abs run SIMD
@@ -77,23 +86,24 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
         "battery covariance breaks the uncertainty principle": ~_positive_2x2(s22 + _SHIFT, s23, s33 + _SHIFT),
         "energy overflows": ~np.isfinite([e_b, erg, m, e_a]).all(axis=0),
     }
-    raise_first_failure(checks, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")
-    return e_b, erg, e_b - erg, m, e_a
+    failures = _verdicts(checks, k, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")
+    return (e_b, erg, e_b - erg, m, e_a), failures
 
 
-def batch_columns(trajs: list, omega0: float) -> list | None:
-    """:func:`energy_columns` of each trajectory of a batch (``dynamics.propagate_batch``), from one pass over all
-    their samples. The columns work sample by sample, so each is bit for bit its lone value. None when an outcome is
-    an error or a sample fails a check: each trajectory is then read alone, which names its own failure.
-    """
-    if not all(isinstance(t, Trajectory) for t in trajs):
-        return None
-    try:
-        columns = energy_columns(np.hstack([t.mu for t in trajs]), np.hstack([t.sigma for t in trajs]), omega0)
-    except UnphysicalState:
-        return None
-    ends = np.cumsum([len(t) for t in trajs]).tolist()
-    return [tuple(c[end - len(t):end] for c in columns) for t, end in zip(trajs, ends)]
+def batch_columns(outcomes: list, omega0: float) -> list:
+    """One outcome per outcome of a batch (``dynamics.propagate_batch``), from one pass over all its samples: an error
+    passes through; a trajectory gives its :func:`energy_columns`, bit for bit its lone value as the columns work sample
+    by sample, or the UnphysicalState its lone call raises. Trajectories off one shared time grid raise ValueError."""
+    trajs = [t for t in outcomes if isinstance(t, Trajectory)]
+    if not trajs:
+        return list(outcomes)
+    if any(not np.array_equal(t.times, trajs[0].times) for t in trajs[1:]):
+        raise ValueError("a batch's trajectories share one time grid")
+    columns, failures = _judged_columns(np.hstack([t.mu for t in trajs]), np.hstack([t.sigma for t in trajs]),
+                                        omega0, len(trajs), trajs[0].times)
+    n = len(trajs[0])
+    read = iter(failure or tuple(c[j * n:(j + 1) * n] for c in columns) for j, failure in enumerate(failures))
+    return [next(read) if isinstance(t, Trajectory) else t for t in outcomes]
 
 
 def _reports(columns: tuple[np.ndarray, ...]) -> list[EnergyReport]:

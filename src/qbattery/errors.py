@@ -34,7 +34,8 @@ class TruncationLeak(QBatteryError):
 
 
 class UnphysicalState(QBatteryError):
-    """A sample's moments or battery covariance Sigma_B violate Gaussian physicality (M = 16 det sigma_B below 1)."""
+    """Energetics refuses a sample: a mean or Sigma entry is non-finite, the battery block fails the engines' 2x2
+    uncertainty rule at PHYSICALITY_TOL, or an energy column (e_b, ergotropy, M, e_a) overflows."""
 
 
 class ResonantEnvelope(QBatteryError):

@@ -11,11 +11,17 @@ from hypothesis.extra.numpy import arrays
 
 from qbattery.cli import _CHUNK_ROWS, OUTPUT_COLUMNS, _row_chunks, trajectory_rows, write_trajectory
 from qbattery.dynamics import Trajectory, integrate, propagate
+from qbattery.energetics import energy_columns
 from qbattery.errors import UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
 
 ECHO = {"note": "echo"}
 N_MOMENT_COLUMNS = 18  # t, g_tau and the 16 moment parts; energetics follow
+
+
+def unit_columns(traj):
+    """The energy columns at omega0 = 1 that the CLI writes with ``traj``."""
+    return energy_columns(traj.mu, traj.sigma, 1.0, traj.times)
 
 
 def reference_rows(traj):
@@ -61,7 +67,7 @@ def _json_body(rows):
 
 def assert_file_holds_rows(path, traj, fmt):
     """The CSV file is header plus per-value text; the JSON rows are that text and parse to the rows' bits."""
-    text, rows = path.read_text(), trajectory_rows(traj)
+    text, rows = path.read_text(), trajectory_rows(traj, unit_columns(traj))
     if fmt == "csv":
         assert text == ",".join(OUTPUT_COLUMNS) + "\n" + reference_csv(rows.tolist())
     else:
@@ -98,7 +104,7 @@ def test_writer_matches_per_sample_reference(tmp_path, fmt, drive, nbar):
     params = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=nbar, delta_r=0.5, tau=3.0)
     traj = integrate(params, DRIVES[drive], 0.01, 5.0, sample_stride=1)
     path = tmp_path / f"run.{fmt}"
-    assert write_trajectory(path, traj, fmt, ECHO) == len(traj)
+    assert write_trajectory(path, traj, fmt, ECHO, unit_columns(traj)) == len(traj)
     got, want = path.read_text(), reference_text(traj, fmt)
     if fmt == "csv":
         got_lines, want_lines = got.split("\n"), want.split("\n")
@@ -184,7 +190,7 @@ def test_multi_chunk_and_empty_trajectories(tmp_path):
     for fmt in ("csv", "json"):
         for name, t, n_rows in (("long", traj, 2001), ("empty", empty, 0)):
             path = tmp_path / f"{name}.{fmt}"
-            assert write_trajectory(path, t, fmt, ECHO) == len(t) == n_rows
+            assert write_trajectory(path, t, fmt, ECHO, unit_columns(t)) == len(t) == n_rows
             assert_file_holds_rows(path, t, fmt)  # an empty JSON file reads "rows":[]
 
 
@@ -194,7 +200,7 @@ def test_streamed_file_at_chunk_boundaries(tmp_path, n_rows):
     traj = propagate(params, DriveProfile.cd_sin_sq(0.2, 0.5), 0.01, 0.01 * (n_rows - 1), sample_stride=1)
     for fmt in ("csv", "json"):
         path = tmp_path / f"run.{fmt}"
-        assert write_trajectory(path, traj, fmt, ECHO) == len(traj) == n_rows
+        assert write_trajectory(path, traj, fmt, ECHO, unit_columns(traj)) == len(traj) == n_rows
         assert_file_holds_rows(path, traj, fmt)
 
 
@@ -203,8 +209,8 @@ def test_json_file_against_the_old_writer(tmp_path):
     echo = {"output": {"format": "json", "path": 'runs/charge "é".json'}, "numerics": {"step": 0.01}}
     path = tmp_path / "run.json"
     for traj in long_and_empty_trajectories():
-        write_trajectory(path, traj, "json", echo)
-        new, old = path.read_text(encoding="utf-8"), old_json_writer(trajectory_rows(traj), echo)
+        write_trajectory(path, traj, "json", echo, unit_columns(traj))
+        new, old = path.read_text(encoding="utf-8"), old_json_writer(trajectory_rows(traj, unit_columns(traj)), echo)
         new_doc, old_doc = json.loads(new), json.loads(old)
         assert list(new_doc) == sorted(new_doc) == ["columns", "config", "rows", "schema"]
         assert new.partition('"rows":')[0] == old.partition('"rows":')[0]
@@ -224,5 +230,5 @@ def test_unphysical_rows_leave_no_file(tmp_path, fmt):
     bad = Trajectory(times=traj.times, mu=traj.mu, sigma=sigma, params=params)
     path = tmp_path / f"run.{fmt}"
     with pytest.raises(UnphysicalState, match="battery covariance breaks the uncertainty principle"):
-        write_trajectory(path, bad, fmt, ECHO)
+        write_trajectory(path, bad, fmt, ECHO, unit_columns(bad))
     assert not path.exists()

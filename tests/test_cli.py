@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbattery import cli, energetics, oracle
+from qbattery import cli, dynamics, energetics, oracle
 from qbattery.cd_control import drive_harmonics
 from qbattery.cli import (
     MAX_ROWS,
@@ -22,7 +22,7 @@ from qbattery.cli import (
     run_sweep,
     selftest_report,
 )
-from qbattery.dynamics import default_step, propagate, run_size
+from qbattery.dynamics import Trajectory, default_step, propagate, run_size
 from qbattery.errors import ConfigError, InvariantViolation, SingularDenominator, TruncationLeak
 from qbattery.model import DriveKind, DriveProfile, ModelParams
 
@@ -569,6 +569,78 @@ class TestOversizedGenerator:
         assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: sample 1 at t=10: non-finite moment") and err.count("\n") == 1
+
+
+def test_one_verdict_pass_per_batch(tmp_path, monkeypatch):
+    # the fig3 F0 sweep with one overflowing point runs as one batch: the engine judges all five members in one
+    # bona fide pass and energetics reads the four it accepts in one pass (one battery-rule evaluation)
+    calls = {"engine": 0, "energetics": 0}
+
+    def counted(key, fn):
+        def count(*args):
+            calls[key] += 1
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(dynamics, "_bona_fide", counted("engine", dynamics._bona_fide))
+    monkeypatch.setattr(energetics, "_positive_2x2", counted("energetics", energetics._positive_2x2))
+    sizes = observe_batches(monkeypatch)
+    doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+    doc["sweep"] = {"parameter": "F0", "values": [0.2, 1e300, 0.3, 0.4, 0.5]}
+    doc["output"]["path"] = str(tmp_path / "fig3.csv")
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert sizes == [5] and calls == {"engine": 1, "energetics": 1}
+
+
+def doctor_batches(monkeypatch, f0):
+    """From now on, the CLI's batches give each member driven at amplitude ``f0`` a Sigma22 of -0.5 at sample 50:
+    the engine's verdict passes it, and the battery rule of energetics breaks there."""
+    batch = cli.propagate_batch
+
+    def doctored(runs, *args):
+        out = batch(runs, *args)
+        for i in (i for i, run in enumerate(runs) if run.profile.f0 == f0):
+            sigma = out[i].sigma.copy()
+            sigma[7, 50] = -0.5
+            out[i] = Trajectory(times=out[i].times, mu=out[i].mu, sigma=sigma, params=out[i].params)
+        return out
+
+    monkeypatch.setattr(cli, "propagate_batch", doctored)
+
+
+class TestUnphysicalRead:
+    """A member that energetics refuses is its UnphysicalState, from command to artifact: no file is written."""
+
+    NUMERICS = {"step": 0.01, "t_end": 2.0, "sample_stride": 1}
+    PREFIX = "sample 50 at t=0.5: battery covariance breaks the uncertainty principle: "
+
+    def test_simulate_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        doctor_batches(monkeypatch, 0.2)
+        p = write_config(tmp_path, base_config(tmp_path / "run.csv", numerics=self.NUMERICS))
+        assert main(["simulate", "--config", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"runtime error: {self.PREFIX}") and err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
+    def test_sweep_fails_only_its_point(self, tmp_path, monkeypatch, capsys):
+        doctor_batches(monkeypatch, 0.2)
+        doc = base_config(tmp_path / "sw.csv", numerics=self.NUMERICS,
+                          sweep={"parameter": "F0", "values": [0.1, 0.2, 0.3]})
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 2
+        runs = json.loads((tmp_path / "sw.csv.manifest.json").read_text())["runs"]
+        assert [run["status"] for run in runs] == ["ok", "error", "ok"]
+        assert runs[1]["error_type"] == "UnphysicalState" and runs[1]["error"].startswith(self.PREFIX)
+        assert not (tmp_path / "sw_01.csv").exists() and not (tmp_path / "sw_01.csv.manifest.json").exists()
+        capsys.readouterr()
+        # the doctored point's lone simulate fails with the same message; the others' artifacts are lone simulates'
+        plain = base_config(tmp_path / "plain.csv", numerics=self.NUMERICS)
+        plain["drive"]["f0"] = 0.2
+        assert main(["simulate", "--config", str(write_config(tmp_path, plain, "plain.json"))]) == 2
+        assert capsys.readouterr().err == f"runtime error: {runs[1]['error']}\n"
+        monkeypatch.undo()
+        for i, f0 in ((0, 0.1), (2, 0.3)):
+            plain["drive"]["f0"] = f0
+            assert (tmp_path / f"sw_{i:02d}.csv").read_bytes() == run_simulate(parse_config(plain)).read_bytes()
 
 
 class TestCompare:

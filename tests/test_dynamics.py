@@ -19,11 +19,12 @@ from qbattery.dynamics import (
     Run,
     Trajectory,
     _batch,
-    _check_physical,
     _exact_generator,
     _gaussian,
+    _physicality,
     _orbit,
     _raw_moments,
+    _unwrap,
     expm,
     grid_times,
     integrate,
@@ -373,7 +374,7 @@ class TestIntegrate:
         states = [MomentState(), coherent_pair(0.3j, 0.5), MomentState(a_sq=0.5), MomentState(na=-1.0)]
         y = np.array([s.as_array() for s in states])
         with pytest.raises(InvariantViolation, match=r"sample 2 at t=0\.02: covariance breaks the uncertainty"):
-            _check_physical(y, _gaussian(y)[1], np.array([0.0, 0.01, 0.02, 0.03]))
+            _unwrap(*_physicality(y, _gaussian(y)[1], 1, np.array([0.0, 0.01, 0.02, 0.03])))
 
     def test_invariant_check_rejects_non_finite_moments(self):
         with pytest.raises(InvariantViolation, match="sample 0 at t=0: non-finite"):

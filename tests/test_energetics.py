@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.cli import OUTPUT_COLUMNS, trajectory_rows
-from qbattery.dynamics import PHYSICALITY_TOL, MomentState, _bona_fide, _gaussian, integrate, propagate
+from qbattery.dynamics import (PHYSICALITY_TOL, MomentState, Run, Trajectory, _bona_fide, _gaussian, integrate,
+                               propagate, propagate_batch)
 from qbattery.energetics import (
+    batch_columns,
     decompose,
     energy_columns,
     ergotropy_b,
     report_series,
 )
-from qbattery.errors import ConfigError, UnphysicalState
+from qbattery.errors import ConfigError, InvariantViolation, UnphysicalState
 from qbattery.model import DriveProfile, ModelParams
 from qbattery.oracle import dense_evolve, extract_moments
 
@@ -161,7 +163,8 @@ class TestEngineCovariance:
     def artifact_columns(nbar, prof):
         """(e_b, ergotropy, M) artifact columns of a stride-1 run of gamma = 0.05, g = 0.2 to t = 20."""
         params = ModelParams(omega0=1.0, g=0.2, gamma=0.05, nbar=nbar, delta_r=0.0, tau=20.0)
-        rows = trajectory_rows(propagate(params, prof, 0.01, 20.0, sample_stride=1))
+        traj = propagate(params, prof, 0.01, 20.0, sample_stride=1)
+        rows = trajectory_rows(traj, energy_columns(traj.mu, traj.sigma, 1.0, traj.times))
         names = ("e_b_over_omega0", "ergotropy_b_over_omega0", "m_value")
         return tuple(rows[:, OUTPUT_COLUMNS.index(name)] for name in names)
 
@@ -313,3 +316,43 @@ def test_passive_generator_keeps_battery_isotropic(g, gamma, nbar, delta_r, prof
     assert np.max(np.abs(traj.sigma[7] - traj.sigma[9])) <= tol
     assert np.max(np.abs(traj.sigma[8])) <= tol
     assert np.max(np.abs(erg - params.omega0 * (beta.real**2 + beta.imag**2))) <= tol
+
+
+def battery_breaks_at_50(traj):
+    """``traj`` with Sigma22 set to -0.5 at sample 50: below -1/4, so M < 1 there."""
+    sigma = traj.sigma.copy()
+    sigma[7, 50] = -0.5
+    return Trajectory(times=traj.times, mu=traj.mu, sigma=sigma, params=traj.params)
+
+
+class TestBatchColumns:
+    PARAMS = ModelParams(omega0=1.0, g=0.2, gamma=1.0, nbar=0.3, delta_r=0.5, tau=3.0)
+
+    def batch(self, *f0s):
+        return propagate_batch([Run(self.PARAMS, DriveProfile.static(f0)) for f0 in f0s], 0.01, 1.0, 1)
+
+    def test_each_member_gets_its_lone_outcome(self):
+        healthy, overflow, doctored = self.batch(0.2, 1e300, 0.3)
+        doctored = battery_breaks_at_50(doctored)
+        assert isinstance(overflow, InvariantViolation)
+        healthy_read, overflow_read, doctored_read = batch_columns([healthy, overflow, doctored], 1.0)
+        lone = energy_columns(healthy.mu, healthy.sigma, 1.0, healthy.times)
+        assert len(healthy_read) == len(lone) == 5
+        for got, want in zip(healthy_read, lone):
+            assert got.tobytes() == want.tobytes()
+        assert overflow_read is overflow
+        with pytest.raises(UnphysicalState) as raised:
+            energy_columns(doctored.mu, doctored.sigma, 1.0, doctored.times)
+        assert type(doctored_read) is UnphysicalState and str(doctored_read) == str(raised.value)
+        assert str(doctored_read).startswith("sample 50 at t=0.5: battery covariance breaks the uncertainty principle")
+
+    def test_a_batch_of_errors_passes_through(self):
+        errors = [InvariantViolation("a"), UnphysicalState("b")]
+        assert batch_columns(errors, 1.0) == errors
+
+    def test_trajectories_off_one_grid_are_refused(self):
+        # 101 samples each, on different grids: a member's times would name the other's failures
+        fine, coarse = (propagate(self.PARAMS, DriveProfile.static(0.2), step, 100 * step, 1) for step in (0.01, 0.02))
+        assert len(fine) == len(coarse)
+        with pytest.raises(ValueError, match="share one time grid"):
+            batch_columns([fine, coarse], 1.0)

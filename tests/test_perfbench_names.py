@@ -5,11 +5,14 @@ from outside the package, methods through their class ``__dict__``, and reads
 the oracle's moments as ``oracle.extract_moments(state).as_array()``. Its
 workloads also read fields of a trajectory and of a decomposition. Moving
 or renaming one of these breaks traced benchmark runs and perfbench's own
-selftest, so it fails here first.
+selftest, so it fails here first. So does a renamed parameter that a counter
+of ``_COUNTERS`` reads from its target's bound arguments.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -38,6 +41,30 @@ def test_every_trace_target_resolves():
         if not callable(owner.get(method)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def counter_keys():
+    """{target: the ``a["..."]`` keys its counter reads}, for each entry of spans.py ``_COUNTERS``, parsed, not run."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (table,) = (node.value for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_COUNTERS"])
+    keys = {}
+    for target, counter in zip(table.keys, table.values):
+        fn = functions[counter.id]
+        bound = fn.args.args[1].arg  # counter(tracer, bound arguments, result)
+        keys[target.value] = {node.slice.value for node in ast.walk(fn) if isinstance(node, ast.Subscript)
+                              and isinstance(node.value, ast.Name) and node.value.id == bound}
+    return keys
+
+
+def test_counters_read_parameters_of_their_targets():
+    keys = counter_keys()
+    assert "cli.write_trajectory" in keys  # binds a["path"] for the artifact's size
+    for target, read in keys.items():
+        module, attr = target.split(".")
+        parameters = inspect.signature(getattr(importlib.import_module(f"qbattery.{module}"), attr)).parameters
+        assert read and read <= set(parameters), (target, read - set(parameters))
 
 
 def test_extract_moments_returns_a_moment_state():
