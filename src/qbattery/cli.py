@@ -223,18 +223,18 @@ def load_config(path: str) -> RunConfig:
 # artifacts
 # ---------------------------------------------------------------------------
 
-# Rows per formatting pass. In perfbench's dense_analysis loop, _format_values takes about 150 minor page faults
-# per op for CSV (2,001 rows) and 210 for JSON (1,501 rows); 128-row passes take fewer but gained no op time.
+# Rows per formatting pass. In perfbench's dense_analysis loop, _format_values takes 0-165 minor page faults per
+# op for CSV (2,001 rows) and 144-177 for JSON (1,501 rows); 128-row passes take 0-17 and 7-8 but gained no time.
 _CHUNK_ROWS = 256
 _ROW_ENDS = {"csv": (b"\n", b"\n"), "json": (b"],[", b"]]")}  # after each row, after the last row
 _K0 = -290  # smallest power of ten in the exact-product table
-_U = np.uint64  # explicit scalars: numpy 1.x value-based casting would turn mixed integer math into floats
 
 
 @functools.cache
 def _format_tables() -> tuple:
     """For k in [_K0, 300], rows (hi, lo, hh, hl), 10^k = hi + lo to about 2^-106 and hi = hh + hl Dekker's halves,
-    and the least double >= 10^k; words, low byte first, of each exponent and of sign, lead digit and '.'."""
+    and the least double >= 10^k; words, low byte first, of each exponent, of sign, lead digit and '.', and (32-bit)
+    of the 10^4 texts "0000" to "9999"."""
     hi, lo = [], []
     for k in range(_K0, 301):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)  # int / int rounds correctly
@@ -245,18 +245,21 @@ def _format_tables() -> tuple:
     hh = hi * 134217729.0 - (hi * 134217729.0 - hi)
     texts = [f"e{k:+03d}" for k in range(_K0, 301)], [f"\0\0\0\0\0{s}{str(d)[0]}." for s in "\0-" for d in range(11)]
     words = (np.array([int.from_bytes(w.encode(), "little") for w in ws], np.uint64) for ws in texts)
-    return np.stack([hi, lo, hh, hi - hh], axis=1), np.where(lo > 0.0, np.nextafter(hi, np.inf), hi), *words
+    i = np.arange(10**4)
+    quads = sum((i // 10**(3 - j) % 10 + ord("0")) << 8 * j for j in range(4)).astype("<u4")
+    return np.stack([hi, lo, hh, hi - hh], axis=1), np.where(lo > 0.0, np.nextafter(hi, np.inf), hi), *words, quads
 
 
 def _format_values(x: np.ndarray, seps: np.ndarray) -> bytes:
     """format(v, ".16e") of each value of ``x``, each followed by its separator: the top 3 bytes of its ``seps`` word.
 
     The 17 digits are round(|x| 10^(16 - E)) from Dekker's exact product with 10^(16 - E) = hi + lo,
-    within about 1e-14. Python formats values within 1e-9 of a tie and nonzero |x| outside [1e-280, 1e280],
+    within about 1e-14; the lead digit and each 4-digit group of the other 16 are read from the tables by index.
+    Python formats values within 1e-9 of a tie and nonzero |x| outside [1e-280, 1e280],
     at most 24 bytes, over the first 29 of the 32-byte slot of four words that each text fills with 0s:
     sign, lead, '.'; 8 digits; 8 digits; exponent and, in the top 3 bytes, the separator.
     """
-    terms, ceil, exps, leads = _format_tables()
+    terms, ceil, exps, leads, quads = _format_tables()
     a = np.abs(x)
     zero, fast = a == 0.0, (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0  # E = 0, the exponent of a zero
@@ -272,22 +275,17 @@ def _format_values(x: np.ndarray, seps: np.ndarray) -> bytes:
     yh = p + t  # y = |x| 10^(16 - E) in [1e16, 1e17] is yh + yl, yh an integer
     yl = t - (yh - p)
     slow = np.flatnonzero(~(fast | zero) | (np.abs(yl - np.rint(yl)) >= 0.5 - 1e-9))
-    n = (yh.astype(np.int64) + np.rint(yl).astype(np.int64)).view(np.uint64)
+    n = yh.astype(np.int64) + np.rint(yl).astype(np.int64)
     n[zero] = 0
-    e += n == _U(10**17)  # rounded up to 10^17: lead 10, which reads 1
-    lead = n // _U(10**16)
-    d = np.stack([n // _U(10**8), n])  # digits 2-9 and 10-17
-    d[1] -= d[0] * _U(10**8)
-    d[0] -= lead * _U(10**8)
-    # each pass splits every lane of d in two, high-order half low; mul / 2^shift is 1 / div on these lanes
-    for bits, div, mul, shift, mask in ((32, 10**4, 3518437209, 45, 0x3FFF), (16, 100, 10486, 20, 0x7F0000007F),
-                                        (8, 10, 103, 10, 0xF000F000F000F)):
-        q = (d * _U(mul) >> _U(shift)) & _U(mask)
-        d -= q * _U(div)
-        d <<= _U(bits)
-        d |= q
-    lead += _U(11) * np.signbit(x)
-    w = np.stack([leads[lead.view(np.int64)], *(d | _U(0x3030303030303030)), exps[e] | seps], axis=1, dtype="<u8")
+    e += n == 10**17  # rounded up to 10^17: lead 10, which reads 1
+    w = np.empty((len(x), 4), "<u8")
+    high = n // 10**16  # n's first digits, 1 then 5, 9, 13 and 17; % and np.divmod cost 5x this division
+    w[:, 0] = leads[high + 11 * np.signbit(x)]
+    for half, k in enumerate((12, 8, 4, 0), 2):  # each 4-digit group of digits 2-17 to the next 32-bit half word
+        low = n // 10**k
+        w.view("<u4")[:, half] = quads[low - high * 10**4]
+        high = low
+    w[:, 3] = exps[e] | seps
     for i in slow:
         w.view(np.uint8)[i, :29] = np.frombuffer(format(float(x[i]), ".16e").encode().ljust(29, b"\0"), np.uint8)
     return w.tobytes().translate(None, b"\0")

@@ -36,7 +36,6 @@ Variables, 2017, ch. 3).
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -468,13 +467,11 @@ def _evolve(leg_map, runs: list[Run], legs: list[Leg], sample_stride: int) -> li
     vs = np.empty((len(runs), len(times), 17))
     for row, run in zip(vs, runs):
         row[0] = _VACUUM if run.initial is None else _start(run.initial)
-    # a lone run steps without the batch axis: numpy's 2-D calls cost less, and give the same bits
-    block, stack = (vs[0], operator.itemgetter(0)) if len(runs) == 1 else (vs, np.array)
-    v, done = block[..., 0, :], 1
+    v, done = vs[:, 0], 1
     for leg in legs:
         gens, clocks = zip(*(_exact_generator(run.params.g * leg.window, run.params, run.profile) for run in runs))
-        e = leg_map(stack(gens), stack(clocks), leg.h)
-        v = _leg_states(e, v, leg, sample_stride, block[..., done:done + leg.kept.size, :])
+        e = leg_map(np.array(gens), np.array(clocks), leg.h)
+        v = _leg_states(e, v, leg, sample_stride, vs[:, done:done + leg.kept.size])
         done += leg.kept.size
 
     flat = vs.reshape(-1, 17).T

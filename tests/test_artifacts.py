@@ -171,7 +171,10 @@ def test_csv_body_matches_per_value_writer_on_edges():
     # n + 0.25 and n + 0.75 are exact doubles here, and exact ties at 17 digits
     n = np.linspace(1e15, 2.0**51 - 1.0, 997).round()
     ties = [n + 0.25, n + 0.75]  # n runs from 1e15 to 2^51 - 1, both ends included
-    values = np.concatenate([[0.0, tiny, normal, huge, 1e-6], powers, *neighbours, *ties])
+    # 0000 and 9999 in every 4-digit group over the kernel's fast range; 9.99...9 rounds up to 10^17 (lead 10)
+    mantissas = ("1.0000000000000000", "9.9999999999999999", "1.0000999900009999", "9.9990000999900009")
+    groups = [float(f"{m}e{k}") for m in mantissas for k in range(-280, 281)]
+    values = np.concatenate([[0.0, tiny, normal, huge, 1e-6], powers, *neighbours, *ties, groups])
     rows = as_rows(values)
     assert np.signbit(rows[rows == 0.0]).any()  # -0.0 is in the set
     assert _csv_body(rows).decode() == reference_csv(rows.tolist())

@@ -35,4 +35,11 @@ def test_no_catch_all_handler_and_every_exported_name_resolves(path):
             names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
             assert node.type is not None and not names & {"Exception", "BaseException"}, f"{path.name}:{node.lineno}"
     module = importlib.import_module("qbattery" if path.stem == "__init__" else f"qbattery.{path.stem}")
-    assert all(hasattr(module, name) for name in getattr(module, "__all__", ())), path.name
+    exported = getattr(module, "__all__", ())
+    assert all(hasattr(module, name) for name in exported), path.name
+    # every module-level import is used or exported; __init__'s imports are its re-exports
+    if path.stem != "__init__":
+        imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        unused = imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} - set(exported)
+        assert not unused, f"{path.name}: unused imports {sorted(unused)}"
