@@ -303,9 +303,9 @@ def _row_chunks(rows: np.ndarray, fmt: str):
         yield _format_values(x.ravel(), seps[:len(x)].ravel())
 
 
-def trajectory_rows(traj: Trajectory, columns: tuple) -> np.ndarray:
-    """(n, 22) array of the samples' values with their energy ``columns`` at omega0 = 1, in OUTPUT_COLUMNS order."""
-    e_b, erg, _, m_value, e_a = columns
+def trajectory_rows(traj: Trajectory) -> np.ndarray:
+    """(n, 22) array of the retained samples' values, in OUTPUT_COLUMNS order."""
+    e_b, erg, _, m_value, e_a = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)
     rows = np.empty((len(traj), len(OUTPUT_COLUMNS)))
     rows[:, 0] = traj.times
     rows[:, 1] = traj.params.g * traj.times
@@ -314,9 +314,9 @@ def trajectory_rows(traj: Trajectory, columns: tuple) -> np.ndarray:
     return rows
 
 
-def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict, columns: tuple) -> int:
-    """Stream one artifact of ``traj`` and ``columns``, CSV or JSON: head, _row_chunks, tail; return the row count."""
-    rows = trajectory_rows(traj, columns)
+def write_trajectory(path: Path, traj: Trajectory, fmt: str, config_echo: dict) -> int:
+    """Stream one artifact, CSV or JSON: head, _row_chunks, tail; return the row count. Rows are checked first."""
+    rows = trajectory_rows(traj)
     if fmt == "csv":
         head, tail = ",".join(OUTPUT_COLUMNS) + "\n", ""
     else:
@@ -346,28 +346,25 @@ def _manifest_path(out_path: Path) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def _read_points(points: list[RunConfig]) -> list:
-    """One outcome per point config of ``points``, which share one grid: its (Trajectory, energy columns at
-    omega0 = 1), or the error its lone run or read raises. One :func:`dynamics.propagate_batch` steps the points
-    and one :func:`energetics.batch_columns` reads them, so each is judged once; a simulate is the batch of one."""
+def _run_points(points: list[RunConfig]) -> list:
+    """One outcome per point config of ``points``, which share one grid: its Trajectory, or the error its lone run
+    raises, from one :func:`dynamics.propagate_batch`; a simulate is the batch of one."""
     head = points[0]
-    trajs = propagate_batch([Run(p.params, p.profile) for p in points], head.step, head.t_end, head.sample_stride)
-    return [read if isinstance(read, Exception) else (traj, read)
-            for traj, read in zip(trajs, energetics.batch_columns(trajs, 1.0))]
+    return propagate_batch([Run(p.params, p.profile) for p in points], head.step, head.t_end, head.sample_stride)
 
 
 def run_simulate(config: RunConfig) -> Path:
     if config.out_path is None:
         raise ConfigError("simulate requires output.path")
-    (read,) = _read_points([config])
-    return _write_run(config, *_unwrap(read))
+    (traj,) = _run_points([config])
+    return _write_run(config, _unwrap(traj))
 
 
-def _write_run(config: RunConfig, traj: Trajectory, columns: tuple) -> Path:
+def _write_run(config: RunConfig, traj: Trajectory) -> Path:
     """Write the data artifact and the manifest of one simulate run of ``config``; return the artifact's path."""
     out_path = Path(config.out_path)
     echo = config.to_dict()
-    n_rows = write_trajectory(out_path, traj, config.out_format, echo, columns)
+    n_rows = write_trajectory(out_path, traj, config.out_format, echo)
     manifest = {
         "schema": "qbattery-manifest-v1",
         "command": "simulate",
@@ -408,7 +405,7 @@ def _batches(points: list):
 def run_sweep(config: RunConfig) -> tuple[Path, list]:
     """Run one simulate per sweep value; returns (manifest path, the manifest entries of the points that failed).
 
-    Consecutive points that share a grid run as one batch (:func:`_read_points`); each point's files
+    Consecutive points that share a grid run as one batch (:func:`_run_points`); each point's files
     are written, in point order, as :func:`run_simulate` writes them.
     """
     if config.sweep_parameter is None:
@@ -421,10 +418,10 @@ def run_sweep(config: RunConfig) -> tuple[Path, list]:
               for i, value in enumerate(config.sweep_values)]
     runs = []
     for batch in _batches(points):
-        for (value, point), read in zip(batch, _read_points([point for _, point in batch])):
+        for (value, point), traj in zip(batch, _run_points([point for _, point in batch])):
             entry = {"value": value, "path": Path(point.out_path).name, "status": "ok"}
             try:
-                _write_run(point, *_unwrap(read))
+                _write_run(point, _unwrap(traj))
             except QBatteryError as exc:
                 entry["status"] = "error"
                 entry["error"] = str(exc)
@@ -454,10 +451,11 @@ def compare_drives(config: RunConfig) -> dict:
         "static": DriveProfile.static(config.profile.f0),
     }
     maxima, argmax = {}, {}
-    for name, read in zip(partners, _read_points([dataclasses.replace(config, profile=p) for p in partners.values()])):
-        traj, columns = _unwrap(read)  # columns[1] is the ergotropy over omega0
-        k = int(np.argmax(columns[1]))
-        maxima[name] = float(columns[1][k])
+    for name, run in zip(partners, _run_points([dataclasses.replace(config, profile=p) for p in partners.values()])):
+        traj = _unwrap(run)
+        series = energetics.energy_columns(traj.mu, traj.sigma, 1.0, traj.times)[1]  # the ergotropy over omega0
+        k = int(np.argmax(series))
+        maxima[name] = float(series[k])
         argmax[name] = float(config.params.g * traj.times[k])
 
     def ratio(num: float, den: float):

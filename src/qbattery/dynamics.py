@@ -26,8 +26,8 @@ error, and nothing inside the stack raises: the leg maps of the accepted members
 stack, :func:`expm` gives each member its own squaring count, and numpy's ``@``, ``solve`` and
 ``matrix_power`` work one member at a time, so every member is bit for bit its lone run. One pass over
 the batch's samples then judges each member alone (:func:`_verdicts`), a failing one being the error its
-lone run raises. ``energetics.batch_columns`` reads a batch in one pass too. The CLI's ``simulate`` is a
-batch of one, ``compare`` its three drives and ``sweep`` each stretch of consecutive points on one grid.
+lone run raises; energetics then reads each member alone, once. The CLI's ``simulate`` is a batch of one,
+``compare`` its three drives and ``sweep`` each stretch of consecutive points on one grid.
 
 Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
 in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous

@@ -49,6 +49,17 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coefficients(params(), DriveProfile.sin_sq(0.1, 0.5))
 
+    @pytest.mark.parametrize(
+        "g,gamma,interpretation,message",
+        [
+            (0.2, 1.0, "q", "unknown interpretation 'q'"),
+            (0.25, 1.0, "p", "critically damped point gamma = 4g is excluded"),  # epsilon = sqrt(1 - 16/16) = 0
+        ],
+    )
+    def test_rejects_bad_arguments(self, g, gamma, interpretation, message):
+        with pytest.raises(ValueError, match=message):
+            coefficients(params(g=g, gamma=gamma), DriveProfile.cd_sin_sq(0.1, 0.5), interpretation)
+
     def test_undefined_cd_drive_raises_as_the_drive_does(self):
         # delta_r = gamma = 0 used to raise a bare ZeroDivisionError
         with pytest.raises(SingularDenominator):

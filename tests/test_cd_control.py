@@ -184,6 +184,18 @@ class TestCdHamiltonianClosed:
         with pytest.raises(ValueError, match=f"after t={ts[min(n_times, 51) - 1]}"):
             cd_hamiltonian_closed(ts, h)
 
+    @pytest.mark.parametrize(
+        "n,shape,message",
+        [
+            (3, (3, 2), r"\(n, d, d\) stack of square matrices, got shape \(3, 2\)"),
+            (3, (3, 2, 3), r"\(n, d, d\) stack of square matrices, got shape \(3, 2, 3\)"),
+            (2, (2, 2, 2), "need at least 3 samples for finite differences"),
+        ],
+    )
+    def test_rejects_samples_that_are_no_grid_of_matrices(self, n, shape, message):
+        with pytest.raises(ValueError, match=message):
+            cd_hamiltonian_closed(0.1 * np.arange(n), np.zeros(shape, dtype=complex))
+
     def test_non_hermitian_sample_names_its_time(self):
         ts, h = two_level_sweep(0.5, 4.0, 2.0, 51)
         h[7, 0, 1] += 1e-6j

@@ -284,6 +284,21 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"config error: output.path must be a string naming a file, got {path!r}\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "command,section,requirement",
+        [
+            ("simulate", "output", "simulate requires output.path"),
+            ("sweep", "sweep", "sweep requires a 'sweep' section in the config"),
+            ("sweep", "output", "sweep requires output.path"),
+        ],
+    )
+    def test_command_without_its_section_fails(self, tmp_path, capsys, command, section, requirement):
+        doc = base_config(tmp_path / "o.csv", sweep={"parameter": "F0", "values": [0.1, 0.2]})
+        del doc[section]
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr() == ("", f"config error: {requirement}\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestSimulate:
     @pytest.mark.parametrize("drive", [{"profile": "off"}, {"profile": "cd_sin_sq", "f0": 0.2, "omega_env": 0.5}],
@@ -573,7 +588,7 @@ class TestOversizedGenerator:
 
 def test_one_verdict_pass_per_batch(tmp_path, monkeypatch):
     # the fig3 F0 sweep with one overflowing point runs as one batch: the engine judges all five members in one
-    # bona fide pass and energetics reads the four it accepts in one pass (one battery-rule evaluation)
+    # bona fide pass and energetics reads each of the four it accepts alone (one battery-rule evaluation each)
     calls = {"engine": 0, "energetics": 0}
 
     def counted(key, fn):
@@ -589,7 +604,7 @@ def test_one_verdict_pass_per_batch(tmp_path, monkeypatch):
     doc["sweep"] = {"parameter": "F0", "values": [0.2, 1e300, 0.3, 0.4, 0.5]}
     doc["output"]["path"] = str(tmp_path / "fig3.csv")
     assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 2
-    assert sizes == [5] and calls == {"engine": 1, "energetics": 1}
+    assert sizes == [5] and calls == {"engine": 1, "energetics": 4}
 
 
 def doctor_batches(monkeypatch, f0):
@@ -701,6 +716,13 @@ class TestCompare:
         report = json.loads((tmp_path / "cmp_report.json").read_text())
         assert set(report["max_ergotropy_over_omega0"]) == {"cd", "bare", "static"}
         assert report["config"]["drive"]["profile"] == "cd_sin_sq"
+
+    def test_compare_without_output_prints_report(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "unused.json")
+        del doc["output"]
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        report = compare_drives(parse_config(doc))
+        assert capsys.readouterr() == (json.dumps(report, sort_keys=True, indent=2) + "\n", "")
 
 
 def passing_oracle_check():

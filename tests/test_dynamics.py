@@ -820,7 +820,7 @@ class TestBatch:
         rng = np.random.default_rng(count)
         m = np.eye(17) + 0.05 * rng.standard_normal((3, 17, 17))
         v = rng.standard_normal((3, 17))
-        for lead in (0, slice(None)):  # a lone run has no batch axis, a batch has one
+        for lead in (0, slice(None)):  # _orbit on a 2-D block (one member) and a 3-D block
             out = np.empty((3, count, 17))[lead]
             out[..., 0, :] = v[lead]
             _orbit(m[lead], out)

@@ -279,6 +279,7 @@ class TestDenseEvolve:
             ({"t_end": math.inf}, r"t_end must be finite and >= 0, got inf"),
             ({"t_end": math.nan}, r"t_end must be finite and >= 0"),
             ({"sample_stride": 0}, r"sample_stride must be >= 1, got 0"),
+            ({"cutoffs": (3, 8)}, "cutoffs must be >= 4"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, message):

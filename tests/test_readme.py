@@ -1,3 +1,4 @@
+import importlib
 import re
 import types
 from pathlib import Path
@@ -8,6 +9,7 @@ import qbattery
 from qbattery.energetics import report_series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ("dynamics", "energetics", "cli", "oracle", "analytic", "cd_control", "model")
 
 
 def library_example() -> str:
@@ -43,3 +45,20 @@ def test_top_level_names_are_the_readme_ones():
     }
     assert "integrate" in example
     assert public == set(imported) | {"integrate"}
+
+
+def test_backticked_package_names_resolve():
+    # every `module.name` or `qbattery.module.name` the README cites in a code span names an existing attribute
+    pattern = rf"`(?:qbattery\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+    cited = set(re.findall(pattern, README.read_text(encoding="utf-8")))
+    assert cited
+
+    def resolves(module, path):
+        obj = importlib.import_module(f"qbattery.{module}")
+        for part in path.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    assert sorted(f"{module}.{path}" for module, path in cited if not resolves(module, path)) == []
