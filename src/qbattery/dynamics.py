@@ -29,9 +29,9 @@ the batch's samples then judges each member alone (:func:`_verdicts`), a failing
 lone run raises; energetics then reads each member alone, once. The CLI's ``simulate`` is a batch of one,
 ``compare`` its three drives and ``sweep`` each stretch of consecutive points on one grid.
 
-Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I
-in these units, where the vacuum has sigma = I/4 (Serafini, Quantum Continuous
-Variables, 2017, ch. 3).
+Every retained sample must be finite and bona fide: 2 sigma + i Omega/2 >= -tol I in these units, where the vacuum
+has sigma = I/4 (Serafini, Quantum Continuous Variables, 2017, ch. 3). :func:`_bona_fide` is the one test of it, free
+of scale, and energetics applies its one-mode form (:func:`_mode_bona_fide`) to the battery block.
 """
 
 import functools
@@ -123,31 +123,37 @@ def _raw_moments(mu, sigma) -> np.ndarray:
     return out
 
 
-def _positive_2x2(s00, s01, s11, y=0.25) -> np.ndarray:
-    """Samples where S + i y J, S = [[s00, s01], [s01, s11]], is positive definite; y = 1/4 for one mode's block."""
-    return (s00 > 0.0) & (s00 * s11 - s01 * s01 > y * y)
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
+def _positive_2x2(s00, s01, s11, y) -> np.ndarray:
+    """Samples where S + i y J, S = [[s00, s01], [s01, s11]], is positive definite, judged at unit diagonal."""
+    d0, d1 = 1.0 / np.sqrt(s00), 1.0 / np.sqrt(s11)  # D = diag(d0, d1); nan or inf where s_ii <= 0 fails the test
+    return (s01 * d0 * d1) ** 2 + (y * d0 * d1) ** 2 < 1.0  # det of D (S + i y J) D > 0, its diagonal being 1
 
 
+def _mode_bona_fide(block) -> np.ndarray:
+    """Samples where one mode's block of H (:func:`_bona_fide`), from its packed Sigma entries, is positive definite."""
+    return _positive_2x2(block[0] + _SHIFT, block[1], block[2] + _SHIFT, 0.25)
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _bona_fide(sigma) -> np.ndarray:
     """Samples of packed Sigma where H = sigma + i Omega/4 + tol/2 I is positive definite, tol = PHYSICALITY_TOL.
 
-    H is half of 2 sigma + i Omega/2 + tol I. With its charger block P, battery
-    block T and real cross block Q, H > 0 iff P > 0 and the Schur complement
-    T - Q^T P^-1 Q > 0. Each is a 2x2 block S + i y J, J = [[0, 1], [-1, 0]],
-    which is positive definite iff S00 > 0 and det S > y^2; as Q^T J Q = det Q J,
-    the complement is det P^-1 (det P T_re - Q^T adj(P_re) Q) + i (det P + det Q)/(4 det P) J.
-    Elementwise, with no eigensolver.
+    H is half of 2 sigma + i Omega/2 + tol I, Omega = diag(J, J), J = [[0, 1], [-1, 0]]. By Sylvester's law of inertia
+    H > 0 iff D H D > 0, D = diag(H)^-1/2, whose unit diagonal keeps every product in range at any scale. With its
+    charger block P = P_re + i y_P J, battery block T = T_re + i y_T J and real cross block Q, that holds iff
+    det P > 0 and det P (T - Q^T P^-1 Q) = det P T_re - Q^T adj(P_re) Q + i (y_T det P + y_P det Q) J > 0
+    (:func:`_positive_2x2`), as Q^T J Q = det Q J. Elementwise, with no eigensolver.
     """
     s00, s01, u0, w0, s11, u1, w1, t00, t01, t11 = sigma
-    s00, s11, t00, t11 = s00 + _SHIFT, s11 + _SHIFT, t00 + _SHIFT, t11 + _SHIFT
-    det_p = s00 * s11 - s01 * s01 - 0.0625
-    ku0, ku1 = s11 * u0 - s01 * u1, s00 * u1 - s01 * u0  # adj(P_re) times the columns u, w of Q
-    kw0, kw1 = s11 * w0 - s01 * w1, s00 * w1 - s01 * w0
-    x00 = det_p * t00 - (u0 * ku0 + u1 * ku1)
-    x11 = det_p * t11 - (w0 * kw0 + w1 * kw1)
-    x01 = det_p * t01 - (w0 * ku0 + w1 * ku1)
-    y = 0.25 * (det_p + u0 * w1 - u1 * w0)
-    return _positive_2x2(s00, s01, s11) & _positive_2x2(x00, x01, x11, y)
+    d0, d1, d2, d3 = 1.0 / np.sqrt(np.array([s00, s11, t00, t11]) + _SHIFT)  # nan or inf where H_ii <= 0
+    s01, t01, y_p, y_t = s01 * d0 * d1, t01 * d2 * d3, 0.25 * d0 * d1, 0.25 * d2 * d3
+    u0, u1, w0, w1 = u0 * d0 * d2, u1 * d1 * d2, w0 * d0 * d3, w1 * d1 * d3
+    det_p = 1.0 - s01 * s01 - y_p * y_p
+    ku0, ku1, kw0, kw1 = u0 - s01 * u1, u1 - s01 * u0, w0 - s01 * w1, w1 - s01 * w0  # adj(P_re) times u, w of Q
+    x00, x11 = det_p - (u0 * ku0 + u1 * ku1), det_p - (w0 * kw0 + w1 * kw1)
+    x01, y = det_p * t01 - (w0 * ku0 + w1 * ku1), y_t * det_p + y_p * (u0 * w1 - u1 * w0)
+    return (det_p > 0.0) & _positive_2x2(x00, x01, x11, y)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite rows fail the first check

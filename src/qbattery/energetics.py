@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _SHIFT, MomentState, Trajectory, _gaussian, _positive_2x2, _unwrap, _verdicts, propagate
+from .dynamics import MomentState, Trajectory, _gaussian, _mode_bona_fide, _unwrap, _verdicts, propagate
 from .errors import ConfigError, UnphysicalState
 from .model import DriveProfile, ModelParams
 
@@ -48,7 +48,7 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
 
     ``mu`` and ``sigma`` are laid out as in :class:`Trajectory`. Energies are checked in units
     of omega0 and scaled by ``omega0`` once, on return. The battery block is judged by the
-    engines' rule (:func:`dynamics._bona_fide` on a 2x2 block), so the ergotropy is >= 0 and
+    engines' uncertainty rule (:func:`dynamics._mode_bona_fide`), so the ergotropy is >= 0 and
     exceeds e_b by at most omega0 (1 - sqrt(max(M, 0)))/2 <= 2 omega0 PHYSICALITY_TOL (1 + 2 tr Sigma_B).
 
     Raises
@@ -73,7 +73,7 @@ def energy_columns(mu: np.ndarray, sigma: np.ndarray, omega0: float, times: np.n
     e_b, erg, e_a = omega0 * nb, omega0 * erg, omega0 * np.hypot(mu[0], mu[1]) ** 2
     checks = {  # masks in C order: Trajectory's strided views would make all(axis=0) reduce 4 or 10 at a time
         "non-finite moment": ~(np.isfinite(mu, order="C").all(axis=0) & np.isfinite(sigma, order="C").all(axis=0)),
-        "battery covariance breaks the uncertainty principle": ~_positive_2x2(s22 + _SHIFT, s23, s33 + _SHIFT),
+        "battery covariance breaks the uncertainty principle": ~_mode_bona_fide(sigma[7:]),
         "energy overflows": ~np.isfinite([e_b, erg, m, e_a]).all(axis=0),
     }
     (failure,) = _verdicts(checks, 1, times, UnphysicalState, lambda i: f"M={m[i]}, centered nb={s22[i] + s33[i]}")

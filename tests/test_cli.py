@@ -316,6 +316,25 @@ class TestSimulate:
         assert (cols["ergotropy_b_over_omega0"] >= 0.0).all()
         assert (cols["ergotropy_b_over_omega0"] <= cols["e_b_over_omega0"]).all()
 
+    @pytest.mark.parametrize("nbar", [1e78, 1e80, 1e120, 1e150])
+    def test_fig3_runs_where_sigma_squared_overflows(self, tmp_path, capsys, nbar):
+        # the charger's centered occupation passes 1e77, so products of Sigma entries pass the largest double: the
+        # uncertainty rule judges Sigma at unit diagonal and passes it. The ergotropy there is not asserted, as it
+        # carries the engine's rounding of Sigma
+        doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
+        doc["model"]["nbar"] = nbar
+        doc["output"]["path"] = str(tmp_path / "fig3.csv")
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(tmp_path / "fig3.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 201 and np.isfinite(rows).all()
+
+        def refuse(name):
+            raise AssertionError(f"manifest holds {name}")
+
+        manifest = json.loads((tmp_path / "fig3.csv.manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["config"]["model"]["nbar"] == nbar
+
     def test_off_drive_zero_energy_columns(self, tmp_path):
         doc = base_config(tmp_path / "out.csv")
         doc["drive"] = {"profile": "off"}
@@ -598,7 +617,7 @@ def test_one_verdict_pass_per_batch(tmp_path, monkeypatch):
         return count
 
     monkeypatch.setattr(dynamics, "_bona_fide", counted("engine", dynamics._bona_fide))
-    monkeypatch.setattr(energetics, "_positive_2x2", counted("energetics", energetics._positive_2x2))
+    monkeypatch.setattr(energetics, "_mode_bona_fide", counted("energetics", energetics._mode_bona_fide))
     sizes = observe_batches(monkeypatch)
     doc = json.loads((CONFIGS / "fig3_underdamped.json").read_text())
     doc["sweep"] = {"parameter": "F0", "values": [0.2, 1e300, 0.3, 0.4, 0.5]}

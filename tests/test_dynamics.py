@@ -488,6 +488,38 @@ class TestMomentStateValidate:
             with pytest.raises(InvariantViolation, match="uncertainty principle"):
                 state.validate()
 
+    def test_bona_fide_check_is_free_of_scale(self):
+        # random PSD Sigma (always bona fide) and copies with one eigenvalue pushed to -0.05 of the largest, each
+        # scaled by 10^k: wherever H = Sigma + (1/4 + tol/2) I + i Omega/4 is clear of singular, the engine's
+        # rule, validate and energetics' battery rule give the sign of H's (or its battery block's) smallest eigenvalue
+        rng = np.random.default_rng(2017)
+        a = rng.normal(size=(100, 4, 4))
+        lam, vec = np.linalg.eigh(a @ a.transpose(0, 2, 1))
+        pushed = lam.copy()
+        pushed[:, 0] = -0.05 * lam[:, -1]
+        base = np.concatenate([(vec * w[:, None, :]) @ vec.transpose(0, 2, 1) for w in (lam, pushed)])
+        sigma = (10.0 ** np.arange(-150, 151, 30)[:, None, None, None] * base).reshape(-1, 4, 4)
+        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        h = sigma + (0.25 + 0.5 * PHYSICALITY_TOL) * np.eye(4) + 0.25j * omega
+        row, col = np.triu_indices(4)
+        packed = sigma[:, row, col].T
+
+        def validates(i):
+            try:
+                MomentState.from_array(_raw_moments(np.zeros((4, 1)), packed[:, i:i + 1])[0]).validate()
+            except InvariantViolation as exc:
+                assert "uncertainty principle" in str(exc)
+                return False
+            return True
+
+        validated = np.array([validates(i) for i in range(len(sigma))])
+        for block, verdict in ((h, dynamics._bona_fide(packed)), (h, validated),
+                               (h[:, 2:, 2:], dynamics._mode_bona_fide(packed[7:]))):
+            ev = np.linalg.eigvalsh(block)
+            clear = np.abs(ev[:, 0]) >= 1e-6 * np.abs(ev[:, -1])
+            assert clear.sum() > 1000 and 0 < (ev[clear, 0] < 0).sum() < clear.sum()
+            np.testing.assert_array_equal(verdict[clear], ev[clear, 0] > 0)
+
 
 def reference_times(step, t_end, tau, stride):
     """Sample times as integrate's step-by-step loop produced them before the shared grid."""

@@ -73,10 +73,13 @@ class TestErgotropy:
         with pytest.raises(UnphysicalState, match="energy overflows"):
             ergotropy_b(MomentState(nb=2.0), 1e308)
 
-    def test_occupation_whose_m_overflows_rejected(self):
-        # e_b = 1e200 is finite, but M = 16 Sigma22 Sigma33 overflows: no column may be inf
-        with pytest.raises(UnphysicalState, match="energy overflows: M=inf"):
-            ergotropy_b(MomentState(nb=1e200), 1.0)
+    @pytest.mark.parametrize("state, m", [(MomentState(nb=1e200), "inf"), (MomentState(nb=2e160, b_sq=1e160j), "nan")],
+                             ids=["m_inf", "m_inf_minus_inf"])
+    def test_occupation_whose_m_overflows_rejected(self, state, m):
+        # e_b is finite, but M = 16 det sigma_B overflows (to inf, or to inf - inf): no column may be inf or nan.
+        # The battery block is bona fide, so the uncertainty rule passes it at any scale and names the overflow
+        with pytest.raises(UnphysicalState, match=f"energy overflows: M={m}"):
+            ergotropy_b(state, 1.0)
 
     def test_block_the_rule_passes_with_negative_m_is_finite(self):
         # Sigma22 = -1/4 - 1e-10 is inside the engines' tolerance, but with Sigma33 = 2e8 M is -0.32
